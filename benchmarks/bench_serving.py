@@ -17,10 +17,20 @@ and reports, per artifact precision:
 Three artifacts are exercised: float32, uniform w8/a8 PTQ, and a
 mixed-precision (8/4-bit alternating) weight assignment.
 
+``--history N[,N...]`` adds the history axis: for each N, a fresh
+server directory gets N finished batch records (written through the
+batch journal, with their inputs already in ``served/``, the state
+serving leaves), one batch leased by another worker and three requests
+waiting in the batcher.  It then times an idle ``BatchJournal.claim``
+and a ``MicroBatcher.poll`` ``HISTORY_CALLS`` times each, alternating
+between the directories after ``HISTORY_WARMUP`` untimed rounds, and
+reports the median and interquartile range.  Both should stay flat
+from N=0 to N=10,000.
+
 Standalone smoke mode (no pytest-benchmark needed — used by CI)::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --requests 24 \
-        --rate 300 --json results/serving.json
+        --rate 300 --history 0,2000 --json results/serving.json
 """
 
 import argparse
@@ -35,11 +45,15 @@ import time
 import numpy as np
 
 from repro import nn
+from repro.messages import BatchRecordV1
 from repro.models import create_model
 from repro.quant import quantize_weights_and_activations
 from repro.quant.sensitivity import apply_mixed_precision
 from repro.serving import (
+    BatchJournal,
     InferenceServer,
+    MicroBatcher,
+    RequestStore,
     mixed_weight_quant,
     model_spec,
     publish_artifact,
@@ -48,6 +62,8 @@ from repro.serving import (
 from repro.tensor import Tensor, no_grad
 
 MODEL = dict(name="resnet8", num_classes=10, in_channels=3, scale=0.5, image_size=8)
+HISTORY_CALLS = 200
+HISTORY_WARMUP = 20
 
 
 def build_artifacts(cache_dir, seed):
@@ -222,6 +238,97 @@ def bench_artifact(label, key, offline, cache_dir, args):
     }
 
 
+def finished_record(key, request_ids, at):
+    """The record a cleanly served batch leaves behind."""
+    return BatchRecordV1(
+        key=key,
+        status="done",
+        requests=list(request_ids),
+        attempts=1,
+        worker=None,
+        leased_at=None,
+        lease_expires=None,
+        created_at=at,
+        finished_at=at,
+        error=None,
+    ).to_dict()
+
+
+def quartiles_ms(samples):
+    q1, median, q3 = np.percentile(np.asarray(samples) * 1e3, [25, 50, 75])
+    return {"median": float(median), "iqr": float(q3 - q1)}
+
+
+def timed(call):
+    started = time.perf_counter()
+    call()
+    return time.perf_counter() - started
+
+
+def history_server(base, finished):
+    """``(journal, batcher)`` over ``finished`` served batches plus in-flight work."""
+    root = os.path.join(base, "serving", f"history-{finished}")
+    journal = BatchJournal(root, lease_timeout=3600.0)
+    store = RequestStore(root)
+    x = np.zeros((1, MODEL["in_channels"], MODEL["image_size"], MODEL["image_size"]), np.float32)
+    for seq in range(finished):
+        key, request_id = f"batch-{seq:08d}", f"old-{seq:08d}"
+        store.submit(x, request_id)
+        record = finished_record(key, [request_id], store.clock())
+        journal.journal.update(key, lambda _current, record=record: record)
+        store.retire([request_id])
+    # In-flight work: one batch leased by a busy worker, three requests
+    # admitted and waiting for a deadline that never comes.
+    batcher = MicroBatcher(root, journal, max_delay=3600.0)
+    for index in range(2):
+        store.submit(x, f"live-{index}")
+    batcher.poll(force=True)
+    if journal.claim("busy") is None:
+        raise RuntimeError("history bench: the in-flight batch was not claimable")
+    for index in range(3):
+        store.submit(x, f"wait-{index}")
+    batcher.poll()
+    return journal, batcher
+
+
+def bench_history(base, sizes, calls=HISTORY_CALLS):
+    """Idle-claim and batcher-poll latency at each finished-batch count.
+
+    Every directory is built before any timing, and the timed calls
+    alternate between them, so all sizes see the same machine state
+    (building 10,000 records leaves writeback behind it).
+    """
+    def idle_claim(journal):
+        if journal.claim("idle") is not None:
+            raise RuntimeError("history bench: an idle claim found work")
+
+    servers = [history_server(base, finished) for finished in sizes]
+    samples = [([], []) for _ in sizes]
+    for index in range(HISTORY_WARMUP + calls):
+        for (journal, batcher), (claims, polls) in zip(servers, samples):
+            claim = timed(lambda: idle_claim(journal))
+            poll = timed(batcher.poll)
+            if index >= HISTORY_WARMUP:
+                claims.append(claim)
+                polls.append(poll)
+    return [
+        {
+            "finished_batches": finished,
+            "calls": calls,
+            "claim_idle_ms": quartiles_ms(claims),
+            "batcher_poll_ms": quartiles_ms(polls),
+        }
+        for finished, (claims, polls) in zip(sizes, samples)
+    ]
+
+
+def history_sizes(text):
+    sizes = sorted({int(part) for part in text.split(",") if part.strip()})
+    if not sizes or sizes[0] < 0:
+        raise argparse.ArgumentTypeError("--history takes non-negative counts, e.g. 0,1000,10000")
+    return sizes
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=48, help="requests per artifact")
@@ -232,6 +339,11 @@ def main(argv=None):
         "--max-delay-ms", type=float, default=5.0, help="batcher latency budget"
     )
     parser.add_argument("--seed", type=int, default=0, help="load + weights seed")
+    parser.add_argument(
+        "--history",
+        type=history_sizes,
+        help="also time idle claims and batcher polls at these finished-batch counts",
+    )
     parser.add_argument("--json", help="dump raw results to this path")
     args = parser.parse_args(argv)
 
@@ -248,6 +360,14 @@ def main(argv=None):
                 f"{row['throughput_per_s']:7.1f} req/s  "
                 f"fill {row['mean_batch_fill']:.2f}  {check}"
             )
+        history = bench_history(tmp, args.history) if args.history else []
+        for row in history:
+            claim, poll = row["claim_idle_ms"], row["batcher_poll_ms"]
+            print(
+                f"history {row['finished_batches']:6d}  idle claim {claim['median']:.3f}ms "
+                f"(IQR {claim['iqr']:.3f})  batcher poll {poll['median']:.3f}ms "
+                f"(IQR {poll['iqr']:.3f})  n={row['calls']}"
+            )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -257,6 +377,7 @@ def main(argv=None):
         "max_batch": args.max_batch,
         "max_delay_ms": args.max_delay_ms,
         "results": rows,
+        "history": history,
     }
     if args.json:
         os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)

@@ -7,10 +7,13 @@ filesystem) rendezvous in one server directory:
 
     <cache>/serving/<name>/
         meta.json            server settings (artifact key, budgets)
-        requests/<id>.npz    admitted inputs (atomic rename publication)
+        requests/<id>.npz    unserved inputs (atomic rename publication)
+        served/<id>.npz      inputs of answered requests, moved by rename
         responses/<id>.npy   outputs (atomic, last-writer-wins)
         responses/<id>.error.json   terminal failure markers
         batches/<key>.json   the batch journal (lease state machine)
+        batches/open/<key>   open-batch index: an empty marker per
+                             pending or leased batch
         service/heartbeats/  worker + batcher liveness (repro.service)
         stats.json           serving.server_stats snapshot
 
@@ -37,6 +40,14 @@ requests happened to share its batch).  The micro-batch amortizes the
 per-batch costs: journal claim/resolve transactions, lease renewals,
 heartbeats and scheduling wakeups.  Served outputs are bit-identical
 to an offline forward of the published artifact.
+
+**Cost as history grows.** Every per-poll path touches only in-flight
+work: a claim lists ``batches/open/``, the batcher lists ``requests/``
+(answered inputs move to ``served/``), and a stats pass reads only the
+batches emitted since the last pass plus those still open.  Finished
+records stay on disk for the observers (``BatchJournal.snapshot`` and
+``counts``); the whole journal is read only at start-up, by the
+batcher's replay and the first stats pass.
 """
 
 import os
@@ -91,11 +102,16 @@ class RequestStore:
     polling for it either sees nothing or the complete array.  Re-served
     batches rewrite responses with identical bytes (deterministic
     forward), making last-writer-wins correct.
+
+    Once answered, a request's input moves from ``requests/`` to
+    ``served/`` (:meth:`retire`), so the admission directory holds only
+    unserved work however long the server has run.
     """
 
     def __init__(self, root, clock=time.time):
         self.root = root
         self.requests_dir = os.path.join(root, "requests")
+        self.served_dir = os.path.join(root, "served")
         self.responses_dir = os.path.join(root, "responses")
         self.clock = clock
 
@@ -109,7 +125,7 @@ class RequestStore:
         return request_id
 
     def scan(self):
-        """Sorted ids of every complete request file on disk."""
+        """Sorted ids of every complete, unserved request file on disk."""
         if not os.path.isdir(self.requests_dir):
             return []
         return sorted(
@@ -119,10 +135,37 @@ class RequestStore:
         )
 
     def load(self, request_id):
-        """``(input_array, submitted_at)`` for one request."""
-        path = os.path.join(self.requests_dir, request_id + ".npz")
-        with np.load(path) as archive:
+        """``(input_array, submitted_at)`` for one request, served or not.
+
+        Inputs only ever move from ``requests/`` to ``served/``, so one
+        missing from the first is in the second: a batch re-served after
+        a steal still finds inputs its first worker already retired.
+        """
+        name = request_id + ".npz"
+        try:
+            archive = np.load(os.path.join(self.requests_dir, name))
+        except FileNotFoundError:
+            archive = np.load(os.path.join(self.served_dir, name))
+        with archive:
             return archive["x"], float(archive["submitted_at"])
+
+    def retire(self, request_ids):
+        """Move answered requests' inputs out of the admission directory.
+
+        Call only once every listed request has its response or error
+        marker.  A request already moved (a duplicated serve after a
+        steal) is skipped.
+        """
+        os.makedirs(self.served_dir, exist_ok=True)
+        for request_id in request_ids:
+            name = request_id + ".npz"
+            try:
+                os.replace(
+                    os.path.join(self.requests_dir, name),
+                    os.path.join(self.served_dir, name),
+                )
+            except FileNotFoundError:
+                pass
 
     def respond(self, request_id, y):
         """Publish one output array atomically (last writer wins)."""
@@ -197,6 +240,16 @@ class BatchJournal:
     stolen batch's original worker cannot clobber the thief's result.
     ``max_attempts`` expiries turn the record ``error`` — the poison
     backstop.
+
+    The open-batch index ``batches/open/`` holds an empty marker per
+    pending or leased batch, so :meth:`claim` and :meth:`drained` list
+    in-flight batches instead of every record ever written.  ``enqueue``
+    writes the marker before the record; ``resolve`` and the backstop
+    unlink it after the record turns ``done`` or ``error``.  A crash
+    between the two steps leaves a marker with no record (skipped) or
+    one on a finished record (dropped by the next claim), and
+    :meth:`reconcile` rebuilds the index from a full snapshot at
+    batcher start.
     """
 
     def __init__(
@@ -207,6 +260,7 @@ class BatchJournal:
         clock=time.time,
     ):
         self.journal = JsonJournal(os.path.join(root, "batches"))
+        self.open_dir = os.path.join(self.journal.root, "open")
         self.lease_timeout = lease_timeout
         self.max_attempts = max_attempts
         self.clock = clock
@@ -226,7 +280,63 @@ class BatchJournal:
             finished_at=None,
             error=None,
         ).to_dict()
-        return self.journal.update(key, lambda current: current or record)
+
+        def mutate(current):
+            if current is not None:
+                return current
+            self._mark(key)
+            return record
+
+        return self.journal.update(key, mutate)
+
+    def _mark(self, key):
+        os.makedirs(self.open_dir, exist_ok=True)
+        with open(os.path.join(self.open_dir, key), "w"):
+            pass
+
+    def _unmark(self, key):
+        try:
+            os.remove(os.path.join(self.open_dir, key))
+        except FileNotFoundError:
+            pass
+
+    def _markers(self):
+        try:
+            return sorted(os.listdir(self.open_dir))
+        except FileNotFoundError:
+            return []
+
+    def _open_records(self):
+        """``(key, record)`` per indexed batch still open, oldest key first.
+
+        A marker on a finished record is dropped (its resolve died
+        before the unlink); one with no record yet is skipped, since
+        ``enqueue`` writes the marker first.
+        """
+        for key in self._markers():
+            record = self.journal.read(key)
+            if record is None:
+                continue
+            if record["status"] in (DONE, ERROR):
+                self._unmark(key)
+                continue
+            yield key, record
+
+    def reconcile(self, records):
+        """Make the open index match ``records``, a full journal snapshot.
+
+        Marks pending or leased records that lack a marker (a journal
+        written before the index existed) and drops markers whose record
+        is finished or missing.  Only the batcher enqueues, so this is
+        safe while it starts up; a record that finishes meanwhile leaves
+        a stale marker the next claim drops.
+        """
+        want = {key for key, record in records.items() if record["status"] in (PENDING, LEASED)}
+        have = set(self._markers())
+        for key in want - have:
+            self._mark(key)
+        for key in have - want:
+            self._unmark(key)
 
     def _claimable(self, record, now):
         if record is None:
@@ -242,14 +352,14 @@ class BatchJournal:
     def claim(self, worker):
         """Claim the oldest claimable batch for ``worker`` (or ``None``).
 
-        Lock-free scan first, locked re-check second — losing the race
-        for one key moves on to the next, exactly like ``TaskQueue``.
-        A record at its attempts ceiling is marked ``error`` instead of
-        claimed, and the scan continues.
+        Scans the open-batch index only.  Lock-free peek first, locked
+        re-check second — losing the race for one key moves on to the
+        next, exactly like ``TaskQueue``.  A record at its attempts
+        ceiling is marked ``error`` instead of claimed, and the scan
+        continues.
         """
         now = self.clock()
-        for key in self.journal.keys():
-            peek = self.journal.read(key)
+        for key, peek in self._open_records():
             if not self._claimable(peek, now):
                 continue
 
@@ -285,6 +395,8 @@ class BatchJournal:
                 store = RequestStore(os.path.dirname(self.journal.root))
                 for request_id in record["requests"]:
                     store.fail(request_id, record["error"])
+                store.retire(record["requests"])
+                self._unmark(key)
                 continue
             return record
         return None
@@ -305,7 +417,10 @@ class BatchJournal:
                 error=None if error is None else str(error),
             )
 
-        return self.journal.update(key, mutate)
+        record = self.journal.update(key, mutate)
+        if record is not None and record["status"] in (DONE, ERROR):
+            self._unmark(key)
+        return record
 
     def snapshot(self):
         """Validated ``{key: record}`` of the whole journal (lock-free)."""
@@ -321,9 +436,8 @@ class BatchJournal:
         return counts
 
     def drained(self):
-        """True when no batch is pending or leased."""
-        counts = self.counts()
-        return counts[PENDING] == 0 and counts[LEASED] == 0
+        """True when no batch is pending or leased (reads the open index only)."""
+        return next(self._open_records(), None) is None
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +455,10 @@ class MicroBatcher:
 
     Restart safety: already-batched request ids are replayed from the
     journal on construction, so a restarted batcher never double-admits,
-    and the batch sequence resumes past the highest existing key.
+    and the batch sequence resumes past the highest existing key.  The
+    same full read reconciles the open-batch index and retires inputs
+    of finished batches still in ``requests/``, which brings a server
+    directory from before either existed up to date.
     """
 
     def __init__(
@@ -360,20 +477,29 @@ class MicroBatcher:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.pending = {}  # request id -> admitted_at (batcher clock)
-        self.admitted = set()
-        self.admitted_total = 0
+        self.admitted = set()  # batched ids whose input is still unserved
         self.batches_total = 0
         self._seq = 0
-        for key, record in self.journal.journal.snapshot().items():
+        records = self.journal.journal.snapshot()
+        finished = set()
+        for key, record in records.items():
             self.admitted.update(record["requests"])
+            if record["status"] in (DONE, ERROR):
+                finished.update(record["requests"])
             self._seq = max(self._seq, _batch_index(key) + 1)
         self.admitted_total = len(self.admitted)
+        self.journal.reconcile(records)
+        self.store.retire([r for r in self.store.scan() if r in finished])
 
     def admit(self, now=None):
         """Pull new request files into the pending set; returns how many."""
         now = self.clock() if now is None else now
+        listed = self.store.scan()
+        # An input leaves requests/ only once answered and never returns,
+        # so a batched id no longer listed need not be remembered.
+        self.admitted.intersection_update(listed)
         fresh = 0
-        for request_id in self.store.scan():
+        for request_id in listed:
             if request_id in self.admitted or request_id in self.pending:
                 continue
             self.pending[request_id] = now
@@ -406,11 +532,15 @@ class MicroBatcher:
         for request_id in take:
             del self.pending[request_id]
             self.admitted.add(request_id)
-        key = f"batch-{self._seq:08d}"
+        key = _batch_key(self._seq)
         self._seq += 1
         self.batches_total += 1
         self.journal.enqueue(key, take, created_at=now)
         return key
+
+
+def _batch_key(seq):
+    return f"batch-{seq:08d}"
 
 
 def _batch_index(key):
@@ -486,7 +616,11 @@ def worker_loop(
             journal.resolve(record["key"], worker, error=exc)
             for request_id in record["requests"]:
                 store.fail(request_id, exc)
+            store.retire(record["requests"])
             continue
+        # Retire before resolving: a crash in between lapses the lease,
+        # and the re-serve loads the retired inputs from served/.
+        store.retire(record["requests"])
         journal.resolve(record["key"], worker)
         served += 1
         if heartbeat is not None:
@@ -575,6 +709,11 @@ class InferenceServer:
         self.started_at = None
         self._stop = threading.Event()
         self._threads = []
+        # Running journal totals for write_stats (None until its first pass).
+        self._stats_lock = threading.Lock()
+        self._stats_seq = None  # batcher sequence the last pass reached
+        self._stats_open = set()  # keys the last pass saw pending or leased
+        self._stats_totals = {"batches": 0, "served": 0, "re_served": 0}
         os.makedirs(self.root, exist_ok=True)
         atomic_write_json(
             os.path.join(self.root, "meta.json"),
@@ -668,18 +807,34 @@ class InferenceServer:
         )
 
     def write_stats(self):
-        """Atomically rewrite ``stats.json`` from the journal snapshot."""
-        snapshot = self.journal.journal.snapshot()
-        served = sum(
-            len(record["requests"])
-            for record in snapshot.values()
-            if record["status"] == DONE
-        )
-        re_served = sum(
-            max(0, record["attempts"] - 1)
-            for record in snapshot.values()
-            if record["status"] == DONE
-        )
+        """Atomically rewrite ``stats.json`` from running journal totals.
+
+        The first pass reads the whole journal.  Later ones read only the
+        batches emitted since and those the last pass saw open: there is
+        no retry from ``error``, so a finished record never changes and
+        is counted once.
+        """
+        journal = self.journal.journal
+        with self._stats_lock:
+            if self._stats_seq is None:
+                fresh = journal.keys()
+                end = max((_batch_index(key) + 1 for key in fresh), default=0)
+            else:
+                end = self.batcher._seq
+                fresh = [_batch_key(seq) for seq in range(self._stats_seq, end)]
+            self._stats_seq = end
+            totals = self._stats_totals
+            totals["batches"] += len(fresh)
+            still_open = set()
+            for key in sorted(self._stats_open) + fresh:
+                record = journal.read(key)
+                if record is None or record["status"] in (PENDING, LEASED):
+                    still_open.add(key)
+                elif record["status"] == DONE:
+                    totals["served"] += len(record["requests"])
+                    totals["re_served"] += max(0, record["attempts"] - 1)
+            self._stats_open = still_open
+            totals = dict(totals)
         now = self.clock()
         stats = ServerStatsV1(
             server=self.name,
@@ -692,9 +847,9 @@ class InferenceServer:
             max_batch=self.max_batch,
             max_delay_ms=self.max_delay * 1000.0,
             requests_total=self.batcher.admitted_total,
-            batches_total=len(snapshot),
-            served_total=served,
-            re_served_total=re_served,
+            batches_total=totals["batches"],
+            served_total=totals["served"],
+            re_served_total=totals["re_served"],
             queue_depth=len(self.batcher.pending),
         )
         atomic_write_json(os.path.join(self.root, "stats.json"), stats.to_dict())

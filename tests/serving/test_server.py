@@ -9,7 +9,11 @@ The fault-model claims under test (see ``docs/serving.md``):
   error markers;
 * SIGKILLing a worker process mid-batch loses nothing: a survivor
   re-claims after the lease lapses and every client still gets exactly
-  one response, bit-identical to the offline forward.
+  one response, bit-identical to the offline forward;
+* each crash window of the open-batch index and the served-input move
+  heals: a stale marker is dropped, a marker without a record is
+  skipped, and a re-serve finds inputs its first worker retired;
+* a server directory written before the index existed keeps serving.
 """
 
 import os
@@ -20,6 +24,8 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
+from repro.io import JsonJournal
+from repro.messages import BatchRecordV1
 from repro.models import create_model
 from repro.serving import (
     BatchJournal,
@@ -30,6 +36,8 @@ from repro.serving import (
     publish_artifact,
     model_spec,
     read_stats,
+    serve_batch,
+    server_root,
     worker_loop,
 )
 from repro.serving.server import DONE, ERROR, LEASED, PENDING, _worker_main
@@ -88,8 +96,9 @@ class TestLeaseStateMachine:
         clock = FakeClock()
         journal = BatchJournal(str(tmp_path), lease_timeout=1.0, max_attempts=3, clock=clock)
         store = RequestStore(str(tmp_path), clock=clock)
-        store.submit(np.zeros(2, dtype=np.float32), "r0")
-        journal.enqueue("batch-00000000", ["r0"])
+        for request_id in ("r0", "r1"):
+            store.submit(np.zeros(2, dtype=np.float32), request_id)
+        journal.enqueue("batch-00000000", ["r0", "r1"])
         for _ in range(3):
             assert journal.claim("crashy")["status"] == LEASED
             clock.now += 1.0
@@ -97,8 +106,13 @@ class TestLeaseStateMachine:
         record = journal.journal.read("batch-00000000")
         assert record["status"] == ERROR
         assert "lease expired" in record["error"]
-        with pytest.raises(ServingError, match="lease expired"):
-            store.try_response("r0")
+        for request_id in ("r0", "r1"):
+            with pytest.raises(ServingError, match="lease expired"):
+                store.try_response(request_id)
+        # the batch left the open index and its inputs left admission
+        assert os.listdir(journal.open_dir) == []
+        assert store.scan() == []
+        assert journal.drained()
 
     def test_resolve_with_error(self, tmp_path):
         journal = BatchJournal(str(tmp_path), clock=FakeClock())
@@ -115,6 +129,78 @@ class TestLeaseStateMachine:
         record = journal.enqueue("batch-00000000", ["r0", "r1"])
         assert record["status"] == LEASED  # first write won; re-enqueue is a no-op
         assert record["requests"] == ["r0"]
+
+
+class TestOpenBatchIndex:
+    """Crash windows between a record write and its marker or input move."""
+
+    def test_stale_marker_on_done_record_is_dropped_not_re_served(self, tmp_path):
+        clock = FakeClock()
+        journal = BatchJournal(str(tmp_path), clock=clock)
+        journal.enqueue("batch-00000000", ["r0"])
+        journal.claim("worker-a")
+        journal.resolve("batch-00000000", "worker-a")
+        # the resolve died between writing ``done`` and unlinking the marker
+        marker = os.path.join(journal.open_dir, "batch-00000000")
+        open(marker, "w").close()
+        journal.enqueue("batch-00000001", ["r1"])
+        # the scan drops the stale marker and moves on to the next batch
+        assert journal.claim("worker-b")["key"] == "batch-00000001"
+        assert not os.path.exists(marker)
+        record = journal.journal.read("batch-00000000")
+        assert record["status"] == DONE and record["attempts"] == 1
+        assert journal.claim("worker-c") is None
+
+    def test_marker_without_record_is_skipped(self, tmp_path):
+        clock = FakeClock()
+        root = str(tmp_path)
+        journal = BatchJournal(root, clock=clock)
+        journal.enqueue("batch-00000000", ["r0"])
+        journal.claim("worker-a")
+        journal.resolve("batch-00000000", "worker-a")
+        # enqueue died between writing the marker and writing the record
+        marker = os.path.join(journal.open_dir, "batch-00000001")
+        open(marker, "w").close()
+        assert journal.claim("worker-b") is None
+        assert journal.drained()
+        assert os.path.exists(marker)  # skipped, not dropped: enqueue marks first
+        # the batcher's start-up reconcile drops it; the sequence moves on
+        batcher = MicroBatcher(root, journal, clock=clock)
+        assert os.listdir(journal.open_dir) == []
+        RequestStore(root, clock=clock).submit(np.zeros(2, dtype=np.float32), "r1")
+        assert batcher.poll(force=True) == ["batch-00000001"]
+        assert journal.claim("worker-b")["requests"] == ["r1"]
+
+    def test_stolen_batch_re_served_from_retired_inputs(self, tmp_path):
+        clock = FakeClock()
+        root = str(tmp_path)
+        store = RequestStore(root, clock=clock)
+        journal = BatchJournal(root, lease_timeout=1.0, clock=clock)
+        model = create_model("mlp", num_classes=3, in_channels=6, scale=0.25, seed=2)
+        model.eval()
+        rng = np.random.default_rng(7)
+        xs = {f"r{i}": rng.standard_normal((1, 6)).astype(np.float32) for i in range(3)}
+        for request_id, x in xs.items():
+            store.submit(x, request_id)
+        journal.enqueue("batch-00000000", list(xs))
+        record = journal.claim("victim")
+        serve_batch(model, store, record)
+        # the victim answered, retired one input, then died before resolving
+        store.retire(record["requests"][:1])
+        assert store.scan() == ["r1", "r2"]
+        clock.now += 1.0  # its lease lapses
+        served = worker_loop(
+            root, model, worker="thief", lease_timeout=1.0, drain=True, clock=clock
+        )
+        assert served == 1
+        record = journal.journal.read("batch-00000000")
+        assert record["status"] == DONE and record["attempts"] == 2
+        assert store.scan() == []
+        assert sorted(os.listdir(store.served_dir)) == ["r0.npz", "r1.npz", "r2.npz"]
+        for request_id, x in xs.items():
+            loaded, _at = store.load(request_id)  # falls back to served/
+            assert np.array_equal(loaded, x)
+            assert np.array_equal(store.try_response(request_id), _offline(model, x))
 
 
 class TestWorkerLoop:
@@ -199,6 +285,53 @@ class TestInferenceServer:
         stats = read_stats(server.root)
         assert stats.served_total == 2  # the journal carried across restarts
 
+    def test_directory_from_before_the_open_index_keeps_serving(self, tmp_path):
+        """Records written straight through ``JsonJournal``, with no
+        ``batches/open/`` markers and a served input still in
+        ``requests/`` — the layout before the index existed.  A new
+        server serves the pending and the expired-lease batch
+        bit-identically and retires the old input."""
+        cache = str(tmp_path)
+        manifest, model = publish_mlp(cache)
+        root = server_root("legacy", cache)
+        store = RequestStore(root)
+        rng = np.random.default_rng(5)
+        xs = {f"r{i}": rng.standard_normal((1, 6)).astype(np.float32) for i in range(5)}
+        for request_id, x in xs.items():
+            store.submit(x, request_id)
+        store.respond("r0", _offline(model, xs["r0"]))
+        now = time.time()
+        legacy = {
+            "batch-00000000": dict(status=DONE, requests=["r0"], attempts=1, finished_at=now - 20),
+            "batch-00000001": dict(
+                status=LEASED, requests=["r1", "r2"], attempts=1, worker="dead:worker",
+                leased_at=now - 15, lease_expires=now - 10,
+            ),
+            "batch-00000002": dict(status=PENDING, requests=["r3", "r4"]),
+        }
+        journal = JsonJournal(os.path.join(root, "batches"))
+        for key, fields in legacy.items():
+            record = BatchRecordV1(**{
+                **dict(key=key, status=PENDING, requests=[], attempts=0, worker=None,
+                       leased_at=None, lease_expires=None, created_at=now - 30,
+                       finished_at=None, error=None),
+                **fields,
+            }).to_dict()
+            journal.update(key, lambda _current, record=record: record)
+        assert not os.path.exists(os.path.join(root, "batches", "open"))
+
+        with InferenceServer(manifest.key, cache_dir=cache, name="legacy", workers=1) as server:
+            for request_id, x in xs.items():
+                response = server.client().result(request_id, timeout=30.0)
+                assert np.array_equal(response, _offline(model, x))
+            server.drain(timeout=30.0)
+        records = server.journal.snapshot()
+        assert {key: record.status for key, record in records.items()} == dict.fromkeys(legacy, DONE)
+        assert records["batch-00000001"].attempts == 2  # the expired lease was stolen
+        assert os.listdir(server.journal.open_dir) == []
+        assert store.scan() == []
+        assert read_stats(root).served_total == 5
+
     def test_unknown_artifact_refused(self, tmp_path):
         with pytest.raises(KeyError):
             InferenceServer("feedfacefeedface", cache_dir=str(tmp_path))
@@ -207,6 +340,49 @@ class TestInferenceServer:
 def _offline(model, x):
     with no_grad():
         return model(Tensor(x)).data
+
+
+@pytest.mark.slow
+class TestConcurrentWorkers:
+    def test_worker_processes_racing_on_the_open_index(self, tmp_path):
+        """More worker processes than cores race to claim through the
+        open-batch index: each batch is leased exactly once, and no
+        marker or unserved input is left behind."""
+        cache = str(tmp_path)
+        manifest, model = publish_mlp(cache)
+        root = os.path.join(cache, "serving", "race")
+        store = RequestStore(root)
+        journal = BatchJournal(root)
+        batcher = MicroBatcher(root, journal, max_batch=2)
+        rng = np.random.default_rng(11)
+        xs = {f"r{i:02d}": rng.standard_normal((1, 6)).astype(np.float32) for i in range(40)}
+        for request_id, x in xs.items():
+            store.submit(x, request_id)
+        assert len(batcher.poll(force=True)) == 20
+
+        ctx = get_context("fork")
+        workers = [
+            ctx.Process(target=_worker_main, args=((root, manifest.key, cache, f"w{i}:race", 30.0),))
+            for i in range(2 * (os.cpu_count() or 1) + 2)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not journal.drained() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            for worker in workers:
+                worker.terminate()
+            for worker in workers:
+                worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        records = journal.snapshot().values()
+        assert all(record.status == DONE and record.attempts == 1 for record in records)
+        assert os.listdir(journal.open_dir) == []
+        assert store.scan() == []
+        for request_id, x in xs.items():
+            assert np.array_equal(store.try_response(request_id), _offline(model, x))
 
 
 @pytest.mark.slow
