@@ -8,8 +8,8 @@ dataset-generation pipeline that feeds them (see
 
 Besides the pytest-benchmark timings, a standalone smoke mode records a
 tracemalloc allocation profile per engine pass (transient peak bytes and
-net live blocks), with and without the opt-in buffer arena — the
-machine-independent axis CI archives alongside wall-clock::
+net live blocks) — the machine-independent axis CI archives alongside
+wall-clock::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --json results/engine_alloc.json
 """
@@ -26,7 +26,7 @@ from repro.data import generate_dataset, resolve_spec
 from repro.data.synthetic import _class_prototypes, _sample_images, _sample_images_loop, _split_labels
 from repro.models import create_model
 from repro.quant import QuantScheme, quantize_array
-from repro.tensor import Tensor, arena, arena_step
+from repro.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -133,18 +133,15 @@ def _engine_passes():
     params = list(model.parameters())
 
     def forward():
-        arena_step()
         return float(loss_fn(model(Tensor(x)), y).data)
 
     def forward_backward():
-        arena_step()
         model.zero_grad()
         loss = loss_fn(model(Tensor(x)), y)
         loss.backward()
         return float(loss.data)
 
     def double_backward():
-        arena_step()
         model.zero_grad()
         loss = loss_fn(model(Tensor(x)), y)
         loss.backward(create_graph=True)
@@ -168,7 +165,7 @@ def _alloc_profile(fn):
     """(peak_bytes, net_blocks) of one warmed call to ``fn``."""
     tracemalloc.start()
     try:
-        fn()  # warm-up: index caches, arena slots
+        fn()  # warm-up: index caches
         before = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
         current0, _ = tracemalloc.get_traced_memory()
@@ -184,31 +181,14 @@ def _alloc_profile(fn):
 
 
 def run_alloc_smoke():
-    """Allocation profile of each engine pass, arena off and on."""
+    """Allocation profile of each engine pass."""
     results = {"runs": []}
-    for use_arena in (False, True):
-        passes = _engine_passes()
-        ctx = arena() if use_arena else None
-        if ctx is not None:
-            ctx.__enter__()
-        try:
-            for name, fn in passes:
-                peak, net_blocks = _alloc_profile(fn)
-                results["runs"].append(
-                    {
-                        "pass": name,
-                        "arena": use_arena,
-                        "alloc_peak_bytes": peak,
-                        "alloc_net_blocks": net_blocks,
-                    }
-                )
-                print(
-                    f"{name:>20} arena={use_arena!s:>5}: "
-                    f"peak {peak / 1e6:7.1f} MB, net {net_blocks:+d} blocks"
-                )
-        finally:
-            if ctx is not None:
-                ctx.__exit__(None, None, None)
+    for name, fn in _engine_passes():
+        peak, net_blocks = _alloc_profile(fn)
+        results["runs"].append(
+            {"pass": name, "alloc_peak_bytes": peak, "alloc_net_blocks": net_blocks}
+        )
+        print(f"{name:>20}: peak {peak / 1e6:7.1f} MB, net {net_blocks:+d} blocks")
     return results
 
 

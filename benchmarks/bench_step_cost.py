@@ -12,14 +12,7 @@ training step under the float32 policy versus float64.  The engine is
 memory-bandwidth bound at this scale, so float32 should be measurably
 faster on every method.
 
-Two engine axes ride along (float32 only):
-
-* ``fused`` — the flat-arena optimizer path versus the per-parameter
-  reference loop (``repro.optim``, bit-identical by construction);
-* ``arena`` — the opt-in step-scoped buffer arena
-  (``repro.tensor.arena``, bit-identical, off by default).
-
-Each cell also records a tracemalloc allocation profile
+Each cell (``method/dtype``) also records a tracemalloc allocation profile
 (``alloc_peak_bytes`` — transient high-water mark of one step;
 ``alloc_net_blocks`` — net new live blocks) so CI can catch allocation
 regressions, which are machine-independent unlike wall-clock.
@@ -31,7 +24,7 @@ Standalone smoke mode (no pytest-benchmark needed — used by CI)::
 
 Regression gate against the checked-in baseline (fails the process when
 steps/sec drops more than 20% or allocations rise more than 10% on any
-cell)::
+cell, or when a measured cell has no unique baseline row)::
 
     PYTHONPATH=src python benchmarks/bench_step_cost.py --steps 3 \
         --check-baseline benchmarks/baseline_step_cost.json
@@ -54,7 +47,7 @@ from repro.core import make_trainer
 from repro.data import make_dataset
 from repro.messages import parse as parse_message
 from repro.models import create_model
-from repro.tensor import arena, dtype_context
+from repro.tensor import dtype_context
 
 METHOD_KWARGS = {
     "sgd": {},
@@ -73,30 +66,21 @@ SPEED_DROP_TOLERANCE = 0.20
 ALLOC_RISE_TOLERANCE = 0.10
 
 
-def make_step(method, dtype="float32", fused=True, use_arena=False):
+def make_step(method, dtype="float32"):
     """Build a closure running one training step under ``dtype``."""
     with dtype_context(dtype):
         train, _test, spec = make_dataset("cifar10_like", train_size=64, test_size=32)
         model = create_model("resnet8", num_classes=spec.num_classes, scale=1.0, seed=0)
         loss_fn = nn.CrossEntropyLoss()
-        opt = optim.SGD(model.parameters(), lr=0.05, momentum=0.9, fused=fused)
+        opt = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         trainer = make_trainer(method, model, loss_fn, opt, **METHOD_KWARGS[method])
         x, y = train[np.arange(64)]
-
-    arena_ctx = arena() if use_arena else None
-    if arena_ctx is not None:
-        arena_ctx.__enter__()
 
     def step():
         with dtype_context(dtype):
             trainer.training_step(x, y)
             opt.step()
 
-    def close():
-        if arena_ctx is not None:
-            arena_ctx.__exit__(None, None, None)
-
-    step.close = close
     return step
 
 
@@ -105,12 +89,11 @@ def measure_allocations(step):
 
     Returns ``(peak_bytes, net_blocks)``: the transient allocation
     high-water mark above the pre-step level, and the net number of
-    blocks still live afterwards (buffer-arena steady state should pin
-    the latter near zero for tensor data).
+    blocks still live afterwards.
     """
     tracemalloc.start()
     try:
-        step()  # absorb warm-up allocations (caches, arena slots)
+        step()  # absorb warm-up allocations (index caches)
         before = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
         current0, _ = tracemalloc.get_traced_memory()
@@ -126,21 +109,8 @@ def measure_allocations(step):
         tracemalloc.stop()
 
 
-def _cells(methods, dtypes):
-    for method in methods:
-        for dtype in dtypes:
-            yield {"method": method, "dtype": dtype, "fused": True, "arena": False}
-    # Engine axes, float32 only: reference (unfused) optimizer and the
-    # buffer arena, on the cheapest and the paper's method.
-    for method in ("sgd", "hero"):
-        if method not in methods or "float32" not in dtypes:
-            continue
-        yield {"method": method, "dtype": "float32", "fused": False, "arena": False}
-        yield {"method": method, "dtype": "float32", "fused": True, "arena": True}
-
-
 def cell_key(cell):
-    return "{method}/{dtype}/fused={fused}/arena={arena}".format(**cell)
+    return "{method}/{dtype}".format(**cell)
 
 
 def run_smoke(steps=3, methods=None, dtypes=DTYPES, allocations=True):
@@ -153,36 +123,37 @@ def run_smoke(steps=3, methods=None, dtypes=DTYPES, allocations=True):
     methods = list(methods or METHOD_KWARGS)
     results = {"steps": steps, "runs": [], "speedups": {}}
     per_method_dtype = {}
-    for cell in _cells(methods, dtypes):
-        step = make_step(
-            cell["method"], cell["dtype"], fused=cell["fused"], use_arena=cell["arena"]
-        )
-        try:
+    for method in methods:
+        for dtype in dtypes:
+            step = make_step(method, dtype)
             step()  # warm-up
             start = time.perf_counter()
             for _ in range(steps):
                 step()
             seconds = (time.perf_counter() - start) / steps
-            entry = dict(cell)
-            entry["seconds_per_step"] = seconds
-            entry["steps_per_sec"] = 1.0 / seconds
+            entry = {
+                "method": method,
+                "dtype": dtype,
+                # The v1 record keeps its ``fused``/``arena`` fields; both
+                # engine paths are gone, so every cell reports them off.
+                "fused": False,
+                "arena": False,
+                "seconds_per_step": seconds,
+                "steps_per_sec": 1.0 / seconds,
+            }
             if allocations:
                 peak, net_blocks, net_bytes = measure_allocations(step)
                 entry["alloc_peak_bytes"] = peak
                 entry["alloc_net_blocks"] = net_blocks
                 entry["alloc_net_bytes"] = net_bytes
-        finally:
-            step.close()
-        results["runs"].append(entry)
-        label = cell_key(cell)
-        alloc_note = (
-            f", peak {entry['alloc_peak_bytes'] / 1e6:7.1f} MB/step"
-            if allocations
-            else ""
-        )
-        print(f"{label:>40}: {seconds * 1e3:8.1f} ms/step{alloc_note}")
-        if cell["fused"] and not cell["arena"]:
-            per_method_dtype.setdefault(cell["method"], {})[cell["dtype"]] = seconds
+            results["runs"].append(entry)
+            alloc_note = (
+                f", peak {entry['alloc_peak_bytes'] / 1e6:7.1f} MB/step"
+                if allocations
+                else ""
+            )
+            print(f"{cell_key(entry):>20}: {seconds * 1e3:8.1f} ms/step{alloc_note}")
+            per_method_dtype.setdefault(method, {})[dtype] = seconds
     for method, per_dtype in per_method_dtype.items():
         if "float32" in per_dtype and "float64" in per_dtype:
             results["speedups"][method] = per_dtype["float64"] / per_dtype["float32"]
@@ -196,16 +167,24 @@ def check_baseline(results, baseline_path):
     A cell fails when steps/sec drops more than 20% or the transient
     allocation peak rises more than 10%.  The baseline passes through
     the message layer first, so a corrupted or foreign-format baseline
-    is a typed schema error, not a silent no-op gate.
+    is a typed schema error, not a silent no-op gate.  A baseline that
+    holds two rows for one cell, or none for a measured cell, is a
+    violation too: the gate never skips a cell it measured.
     """
     with open(baseline_path) as fh:
         baseline = parse_message("bench.step_cost", json.load(fh)).to_dict()
-    base_cells = {cell_key(run): run for run in baseline["runs"]}
+    base_cells = {}
     violations = []
+    for run in baseline["runs"]:
+        key = cell_key(run)
+        if key in base_cells:
+            violations.append(f"{key}: baseline has more than one row for this cell")
+        base_cells[key] = run
     for run in results["runs"]:
         key = cell_key(run)
         base = base_cells.get(key)
         if base is None:
+            violations.append(f"{key}: no baseline row for this measured cell")
             continue
         floor = base["steps_per_sec"] * (1.0 - SPEED_DROP_TOLERANCE)
         if run["steps_per_sec"] < floor:

@@ -16,7 +16,7 @@ curvature regularization buys.
 
 import numpy as np
 
-from ..tensor import Tensor, arena_step, default_dtype
+from ..tensor import Tensor, default_dtype
 from .trainer import Trainer
 
 _EPS = 1e-12
@@ -62,7 +62,6 @@ class CURETrainer(Trainer):
         self.penalty = penalty
 
     def training_step(self, x, y):
-        arena_step()
         x = np.asarray(x, dtype=default_dtype())
         self._clear_grads()
 

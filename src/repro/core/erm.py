@@ -1,6 +1,5 @@
 """Plain empirical-risk-minimization (SGD) trainer — the paper's baseline."""
 
-from ..tensor import arena_step
 from .trainer import Trainer
 
 
@@ -14,7 +13,6 @@ class ERMTrainer(Trainer):
     method_name = "sgd"
 
     def training_step(self, x, y):
-        arena_step()
         self._clear_grads()
         loss, logits = self._forward_loss(x, y)
         loss.backward()

@@ -14,7 +14,7 @@ large).
 
 import numpy as np
 
-from ..tensor import Tensor, arena_step
+from ..tensor import Tensor
 from .trainer import Trainer
 
 
@@ -39,7 +39,6 @@ class GradL1Trainer(Trainer):
         self.lambda_l1 = float(lambda_l1)
 
     def training_step(self, x, y):
-        arena_step()
         self._clear_grads()
         loss, logits = self._forward_loss(x, y)
         loss.backward(create_graph=True)

@@ -35,7 +35,7 @@ bench.
 
 import numpy as np
 
-from ..tensor import Tensor, arena_step
+from ..tensor import Tensor
 from .perturbation import PERTURBATIONS, apply_offsets
 from .trainer import Trainer
 
@@ -99,7 +99,6 @@ class HEROTrainer(Trainer):
         self.regularizer = regularizer
 
     def training_step(self, x, y):
-        arena_step()
         if self.regularizer == "exact_hvp":
             return self._training_step_exact(x, y)
         return self._training_step_finite_diff(x, y)

@@ -69,8 +69,7 @@ def apply_offsets(params, offsets, sign=1.0):
 
     Writing into the existing buffers (rather than rebinding
     ``param.data``) is bit-identical — ``w + (-o) == w - o`` exactly in
-    IEEE — and keeps any views other subsystems hold over the parameter
-    (the fused optimizers' flat-arena views) in sync for free.
+    IEEE — and saves an allocation per parameter.
     """
     if sign == 1.0:
         for param, offset in zip(params, offsets):

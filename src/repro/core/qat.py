@@ -11,7 +11,6 @@ brittle elsewhere — the opposite robustness profile from HERO's.
 """
 
 from ..quant.quantizer import QuantScheme, quantize_array
-from ..tensor import arena_step
 from .trainer import Trainer
 
 
@@ -55,7 +54,6 @@ class QATTrainer(Trainer):
         return targets
 
     def training_step(self, x, y):
-        arena_step()
         masters = [w.data.copy() for w in self._targets]
         try:
             for weight in self._targets:

@@ -9,7 +9,6 @@ replacement borrowed from sharpness-aware minimization [7], without the
 Hessian penalty.  Shares the Eq. 15 perturbation with HERO.
 """
 
-from ..tensor import arena_step
 from .perturbation import PERTURBATIONS, apply_offsets
 from .trainer import Trainer
 
@@ -41,7 +40,6 @@ class SAMTrainer(Trainer):
         self.perturbation = perturbation
 
     def training_step(self, x, y):
-        arena_step()
         self._clear_grads()
         loss, logits = self._forward_loss(x, y)
         loss.backward()

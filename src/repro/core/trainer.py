@@ -10,7 +10,7 @@ paper's "same training procedure" protocol.
 
 import numpy as np
 
-from ..tensor import Tensor, arena_pause, no_grad
+from ..tensor import Tensor, no_grad
 from .metrics import AverageMeter, History, correct_count
 
 
@@ -149,16 +149,11 @@ class Trainer:
         }
 
     def evaluate(self, loader):
-        """Mean loss and accuracy over ``loader`` in eval mode.
-
-        Runs under :func:`repro.tensor.arena_pause`: evaluation shapes
-        (odd final batches, eval-mode norm paths) must neither consume
-        the training step's arena slots nor grow the slot list.
-        """
+        """Mean loss and accuracy over ``loader`` in eval mode."""
         self.model.eval()
         loss_meter = AverageMeter()
         acc_meter = AverageMeter()
-        with arena_pause(), no_grad():
+        with no_grad():
             for x, y in loader:
                 logits = self.model(Tensor(x))
                 loss = self.loss_fn(logits, y)

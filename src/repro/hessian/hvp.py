@@ -74,9 +74,7 @@ class HVPOperator:
     time, so results correspond to the weights as they were then; BN
     buffers are snapshotted around the forward and restored immediately,
     leaving the model untouched.  Do not mutate parameter data between
-    matvecs.  Inside an active :func:`repro.tensor.arena` context the
-    operator must not span an ``arena_step()`` boundary (the retained
-    activations would be recycled).
+    matvecs.
     """
 
     def __init__(self, model, loss_fn, x, y):

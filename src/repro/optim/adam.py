@@ -7,17 +7,10 @@ optimizer is configured).  ``AdamW`` uses decoupled weight decay
 (Loshchilov & Hutter), which composes correctly with HERO's gradient —
 the ``alpha * W`` term of Eq. 17 then acts on the weights directly
 rather than through the second-moment normalization.
-
-Like :class:`~repro.optim.SGD`, both expose a fused flat-arena path
-(``fused=True``, the default) and a per-parameter reference loop
-(``fused=False``) that compute bit-identical updates — the rule is
-purely elementwise; ``tests/optim/test_fused_parity.py`` pins the
-equality.
 """
 
 import numpy as np
 
-from .fused import build_groups
 from .optimizer import Optimizer
 
 
@@ -28,8 +21,6 @@ class Adam(Optimizer):
     gradient before the moment updates), matching the original Adam.
     """
 
-    _decoupled_decay = False
-
     def __init__(
         self,
         params,
@@ -37,7 +28,6 @@ class Adam(Optimizer):
         betas=(0.9, 0.999),
         eps=1e-8,
         weight_decay=0.0,
-        fused=True,
     ):
         super().__init__(params, lr)
         beta1, beta2 = betas
@@ -51,12 +41,9 @@ class Adam(Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.fused = bool(fused)
         self._step_count = 0
         self._exp_avg = [None] * len(self.params)
         self._exp_avg_sq = [None] * len(self.params)
-        self._groups = None
-        self._moment_flats = None
 
     def _apply_decay_to_grad(self, param, grad):
         if self.weight_decay:
@@ -66,108 +53,11 @@ class Adam(Optimizer):
     def _decay_weights_directly(self, param):
         pass  # coupled variant decays through the gradient
 
-    # ------------------------------------------------------------------
-    # Fused flat-arena path
-    # ------------------------------------------------------------------
-    def _build(self):
-        """(Re)build the flat arenas, preserving moment state values."""
-        self._groups = build_groups(self.params)
-        self._moment_flats = []
-        m_seeds = list(self._exp_avg)
-        v_seeds = list(self._exp_avg_sq)
-        for group in self._groups:
-            m_flat, m_views = group.state_flat([m_seeds[i] for i in group.indices])
-            v_flat, v_views = group.state_flat([v_seeds[i] for i in group.indices])
-            self._moment_flats.append((m_flat, v_flat))
-            for index, m_view, v_view in zip(group.indices, m_views, v_views):
-                self._exp_avg[index] = m_view
-                self._exp_avg_sq[index] = v_view
-
     def step(self):
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        if not self.fused:
-            self._step_reference(bias1, bias2)
-            return
-        if self._groups is None:
-            self._build()
-        else:
-            for group in self._groups:
-                if not group.sync():
-                    self._build()
-                    break
-        for position, group in enumerate(self._groups):
-            if group.gather_grads():
-                self._step_fused_group(position, group, bias1, bias2)
-            else:
-                self._step_fallback_group(group, bias1, bias2)
-
-    def _step_fused_group(self, position, group, bias1, bias2):
-        w = group.flat
-        g = group.grad_flat
-        m, v = self._moment_flats[position]
-        s0 = group.scratch(0)
-        s1 = group.scratch(1)
-        # Mirrors the reference expressions ufunc for ufunc (elementwise
-        # throughout, so the flat layout changes no bit of any result).
-        if self.weight_decay and not self._decoupled_decay:
-            np.multiply(w, self.weight_decay, out=s0)
-            np.add(g, s0, out=g)
-        # m <- beta1 * m + (1 - beta1) * g
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(g, 1.0 - self.beta1, out=s0)
-        np.add(m, s0, out=m)
-        # v <- beta2 * v + ((1 - beta2) * g) * g
-        np.multiply(g, 1.0 - self.beta2, out=s0)
-        np.multiply(s0, g, out=s0)
-        np.multiply(v, self.beta2, out=v)
-        np.add(v, s0, out=v)
-        # m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, bias1, out=s0)
-        np.divide(v, bias2, out=s1)
-        np.sqrt(s1, out=s1)
-        np.add(s1, self.eps, out=s1)
-        if self.weight_decay and self._decoupled_decay:
-            # w <- w - (lr * wd) * w, before the adaptive update, as the
-            # reference _decay_weights_directly hook does.
-            np.multiply(w, self.lr * self.weight_decay, out=g)
-            np.subtract(w, g, out=w)
-        np.multiply(s0, self.lr, out=s0)
-        np.divide(s0, s1, out=s0)
-        np.subtract(w, s0, out=w)
-
-    def _step_fallback_group(self, group, bias1, bias2):
-        """Per-parameter updates for a group with missing grads.
-
-        Reference semantics (grad-less params untouched, their moments
-        frozen), writing through the arena views so the flat buffer
-        stays authoritative.
-        """
-        for index, param in zip(group.indices, group.params):
-            if param.grad is None:
-                continue
-            grad = np.asarray(param.grad.data, dtype=param.data.dtype)
-            grad = self._apply_decay_to_grad(param, grad)
-            m_view = self._exp_avg[index]
-            v_view = self._exp_avg_sq[index]
-            np.copyto(m_view, self.beta1 * m_view + (1 - self.beta1) * grad)
-            np.copyto(v_view, self.beta2 * v_view + (1 - self.beta2) * grad * grad)
-            m_hat = m_view / bias1
-            v_hat = v_view / bias2
-            if self.weight_decay and self._decoupled_decay:
-                np.subtract(
-                    param.data, self.lr * self.weight_decay * param.data, out=param.data
-                )
-            np.subtract(
-                param.data, self.lr * m_hat / (np.sqrt(v_hat) + self.eps), out=param.data
-            )
-
-    # ------------------------------------------------------------------
-    # Reference per-parameter path
-    # ------------------------------------------------------------------
-    def _step_reference(self, bias1, bias2):
         for index, param in enumerate(self.params):
             if param.grad is None:
                 continue
@@ -208,30 +98,13 @@ class Adam(Optimizer):
         self.eps = state["eps"]
         self.weight_decay = state["weight_decay"]
         self._step_count = state["step_count"]
-        if self._moment_flats is None:
-            self._exp_avg = [None if m is None else m.copy() for m in state["exp_avg"]]
-            self._exp_avg_sq = [
-                None if v is None else v.copy() for v in state["exp_avg_sq"]
-            ]
-        else:
-            for index, (m_value, v_value) in enumerate(
-                zip(state["exp_avg"], state["exp_avg_sq"])
-            ):
-                for view, value in (
-                    (self._exp_avg[index], m_value),
-                    (self._exp_avg_sq[index], v_value),
-                ):
-                    if value is None:
-                        view[...] = 0
-                    else:
-                        np.copyto(view, value, casting="unsafe")
+        self._exp_avg = [None if m is None else m.copy() for m in state["exp_avg"]]
+        self._exp_avg_sq = [None if v is None else v.copy() for v in state["exp_avg_sq"]]
 
 
 class AdamW(Adam):
     """Adam with decoupled weight decay: ``w <- w - lr * wd * w`` applied
     separately from the adaptive update."""
-
-    _decoupled_decay = True
 
     def _apply_decay_to_grad(self, param, grad):
         return grad  # decay is decoupled

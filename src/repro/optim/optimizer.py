@@ -5,7 +5,7 @@ class Optimizer:
     """Base optimizer over a list of :class:`~repro.nn.Parameter`.
 
     Subclasses implement :meth:`step`, reading each parameter's
-    ``.grad`` and updating ``.data`` in place.
+    ``.grad`` and rebinding ``.data`` to the updated array.
     """
 
     def __init__(self, params, lr):

@@ -5,20 +5,10 @@ the outer update of GRAD-L1, SAM ("first-order only") and HERO — those
 methods differ only in the gradient they hand to this update rule
 (Eq. 17 folds the weight-decay term ``alpha * W`` into the gradient,
 which is exactly ``weight_decay`` here).
-
-Two execution paths compute the same update (bit-for-bit — the rule is
-purely elementwise, and ``tests/optim/test_fused_parity.py`` pins the
-equality):
-
-* ``fused=True`` (default): all parameters of one dtype live in a
-  contiguous flat arena (:mod:`repro.optim.fused`) and the whole step
-  is a handful of full-arena ufuncs;
-* ``fused=False``: the straightforward per-parameter reference loop.
 """
 
 import numpy as np
 
-from .fused import build_groups
 from .optimizer import Optimizer
 
 
@@ -37,7 +27,6 @@ class SGD(Optimizer):
         momentum=0.0,
         weight_decay=0.0,
         nesterov=False,
-        fused=True,
     ):
         super().__init__(params, lr)
         if momentum < 0:
@@ -49,101 +38,9 @@ class SGD(Optimizer):
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.nesterov = nesterov
-        self.fused = bool(fused)
         self._velocity = [None] * len(self.params)
-        self._groups = None
-        self._velocity_flats = None
-
-    # ------------------------------------------------------------------
-    # Fused flat-arena path
-    # ------------------------------------------------------------------
-    def _build(self):
-        """(Re)build the flat arenas, preserving momentum state values."""
-        self._groups = build_groups(self.params)
-        self._velocity_flats = None
-        self._ensure_velocity()
-
-    def _ensure_velocity(self):
-        """Allocate flat momentum state, seeded from ``_velocity``."""
-        if not self.momentum or self._groups is None or self._velocity_flats is not None:
-            return
-        self._velocity_flats = []
-        seeds = list(self._velocity)
-        for group in self._groups:
-            flat, views = group.state_flat([seeds[i] for i in group.indices])
-            self._velocity_flats.append(flat)
-            for index, view in zip(group.indices, views):
-                self._velocity[index] = view
 
     def step(self):
-        if not self.fused:
-            self._step_reference()
-            return
-        if self._groups is None:
-            self._build()
-        else:
-            for group in self._groups:
-                if not group.sync():
-                    self._build()
-                    break
-            else:
-                self._ensure_velocity()
-        for position, group in enumerate(self._groups):
-            if group.gather_grads():
-                self._step_fused_group(position, group)
-            else:
-                self._step_fallback_group(group)
-
-    def _step_fused_group(self, position, group):
-        w = group.flat
-        g = group.grad_flat
-        # Mirrors the reference expressions ufunc for ufunc; every op is
-        # elementwise, so the flat layout changes no bit of any result.
-        if self.weight_decay:
-            t = group.scratch(0)
-            np.multiply(w, self.weight_decay, out=t)
-            np.add(g, t, out=g)
-        if self.momentum:
-            v = self._velocity_flats[position]
-            np.multiply(v, self.momentum, out=v)
-            np.add(v, g, out=v)
-            if self.nesterov:
-                t = group.scratch(0)
-                np.multiply(v, self.momentum, out=t)
-                np.add(g, t, out=g)
-                update = g
-            else:
-                update = v
-        else:
-            update = g
-        t = group.scratch(0)
-        np.multiply(update, self.lr, out=t)
-        np.subtract(w, t, out=w)
-
-    def _step_fallback_group(self, group):
-        """Per-parameter updates for a group with missing grads.
-
-        Reference semantics (grad-less params untouched, their momentum
-        frozen), but writing through the arena views so the flat buffer
-        stays authoritative.
-        """
-        for index, param in zip(group.indices, group.params):
-            if param.grad is None:
-                continue
-            grad = np.asarray(param.grad.data, dtype=param.data.dtype)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity[index]
-                new_velocity = self.momentum * velocity + grad
-                np.copyto(velocity, new_velocity)
-                grad = grad + self.momentum * new_velocity if self.nesterov else new_velocity
-            np.subtract(param.data, self.lr * grad, out=param.data)
-
-    # ------------------------------------------------------------------
-    # Reference per-parameter path
-    # ------------------------------------------------------------------
-    def _step_reference(self):
         for index, param in enumerate(self.params):
             if param.grad is None:
                 continue
@@ -177,13 +74,4 @@ class SGD(Optimizer):
         self.momentum = state["momentum"]
         self.weight_decay = state["weight_decay"]
         self.nesterov = state["nesterov"]
-        values = state["velocity"]
-        if self._velocity_flats is None:
-            self._velocity = [None if v is None else v.copy() for v in values]
-        else:
-            for index, value in enumerate(values):
-                view = self._velocity[index]
-                if value is None:
-                    view[...] = 0
-                else:
-                    np.copyto(view, value, casting="unsafe")
+        self._velocity = [None if v is None else v.copy() for v in state["velocity"]]

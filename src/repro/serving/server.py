@@ -75,6 +75,12 @@ DEFAULT_MAX_DELAY = 0.01
 DEFAULT_LEASE_TIMEOUT = 5.0
 DEFAULT_MAX_ATTEMPTS = 5
 
+# numpy parses ``.npy`` headers with ``ast.literal_eval``, which is not
+# thread-safe on CPython 3.11 (concurrent parses can fail with "AST
+# constructor recursion depth mismatch"), so every request and response
+# read in this process holds this lock.
+_NPY_READ_LOCK = threading.Lock()
+
 
 class ServingError(RuntimeError):
     """A request terminally failed (poison batch or worker exception)."""
@@ -142,12 +148,13 @@ class RequestStore:
         a steal still finds inputs its first worker already retired.
         """
         name = request_id + ".npz"
-        try:
-            archive = np.load(os.path.join(self.requests_dir, name))
-        except FileNotFoundError:
-            archive = np.load(os.path.join(self.served_dir, name))
-        with archive:
-            return archive["x"], float(archive["submitted_at"])
+        with _NPY_READ_LOCK:
+            try:
+                archive = np.load(os.path.join(self.requests_dir, name))
+            except FileNotFoundError:
+                archive = np.load(os.path.join(self.served_dir, name))
+            with archive:
+                return archive["x"], float(archive["submitted_at"])
 
     def retire(self, request_ids):
         """Move answered requests' inputs out of the admission directory.
@@ -189,7 +196,8 @@ class RequestStore:
             raise ServingError(f"request {request_id!r} failed: {marker.get('error')}")
         path = os.path.join(self.responses_dir, request_id + ".npy")
         try:
-            return np.load(path)
+            with _NPY_READ_LOCK:
+                return np.load(path)
         except FileNotFoundError:
             return None
 

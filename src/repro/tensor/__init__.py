@@ -16,24 +16,12 @@ Public API
     The precision policy: the engine allocates in float32 by default
     (``REPRO_DTYPE`` overrides), float64 on explicit request
     (``VERIFY_DTYPE`` for verification-grade numerics).
-``arena`` / ``arena_pause`` / ``arena_step`` / ``current_arena``
-    Opt-in step-scoped buffer reuse (off by default, bit-identical
-    when on; see ``docs/engine-performance.md``).
 ``functional``-style helpers re-exported at package level:
 ``mean, var, std, logsumexp, softmax, log_softmax, where, concat,
 stack, dot, flatten_params``.
 """
 
 from ._gradmode import no_grad, enable_grad, is_grad_enabled, set_grad_enabled
-from .arena import (
-    BufferArena,
-    arena,
-    arena_active,
-    arena_pause,
-    arena_step,
-    arena_take,
-    current_arena,
-)
 from .policy import (
     DTYPE_ENV,
     VERIFY_DTYPE,
@@ -71,13 +59,6 @@ from .grad_check import (
 __all__ = [
     "Tensor",
     "Function",
-    "BufferArena",
-    "arena",
-    "arena_active",
-    "arena_pause",
-    "arena_step",
-    "arena_take",
-    "current_arena",
     "DTYPE_ENV",
     "VERIFY_DTYPE",
     "default_dtype",

@@ -4,15 +4,11 @@ All ``backward`` rules are written with Tensor operations so that the
 backward pass is itself differentiable (double backprop).  Each op also
 carries a ``backward_raw`` mirror used by first-order ``backward()``:
 the same numpy calls in the same order, on raw arrays — bit-identical
-results without graph bookkeeping.  Forwards draw output buffers from
-the step arena when one is active (:mod:`repro.tensor.arena`); ufuncs
-treat ``out=None`` as a plain allocation, so the inactive path is
-unchanged.
+results without graph bookkeeping.
 """
 
 import numpy as np
 
-from .arena import binary_out as _binary_out, matmul_out as _matmul_out, unary_out as _unary_out
 from .function import Function, as_array, unbroadcast, unbroadcast_raw
 
 
@@ -22,7 +18,7 @@ class Add(Function):
     def forward(self, a, b):
         self.a_shape = a.shape
         self.b_shape = b.shape
-        return np.add(a, b, out=_binary_out(a, b))
+        return np.add(a, b)
 
     def backward(self, grad_out):
         return (
@@ -41,13 +37,13 @@ class Neg(Function):
     """Elementwise negation."""
 
     def forward(self, a):
-        return np.negative(a, out=_unary_out(a))
+        return np.negative(a)
 
     def backward(self, grad_out):
         return (-grad_out,)
 
     def backward_raw(self, grad_out):
-        return (np.negative(grad_out, out=_unary_out(grad_out)),)
+        return (np.negative(grad_out),)
 
 
 class Mul(Function):
@@ -56,7 +52,7 @@ class Mul(Function):
     def forward(self, a, b):
         self.a_shape = a.shape
         self.b_shape = b.shape
-        return np.multiply(a, b, out=_binary_out(a, b))
+        return np.multiply(a, b)
 
     def backward(self, grad_out):
         a, b = self.inputs
@@ -68,8 +64,8 @@ class Mul(Function):
     def backward_raw(self, grad_out):
         a, b = self.inputs
         ad, bd = a.data, b.data
-        grad_a = np.multiply(grad_out, bd, out=_binary_out(grad_out, bd))
-        grad_b = np.multiply(grad_out, ad, out=_binary_out(grad_out, ad))
+        grad_a = np.multiply(grad_out, bd)
+        grad_b = np.multiply(grad_out, ad)
         return (
             unbroadcast_raw(grad_a, self.a_shape),
             unbroadcast_raw(grad_b, self.b_shape),
@@ -129,7 +125,7 @@ class MatMul(Function):
             )
         self.a_shape = a.shape
         self.b_shape = b.shape
-        return np.matmul(a, b, out=_matmul_out(a, b))
+        return np.matmul(a, b)
 
     def backward(self, grad_out):
         a, b = self.inputs
@@ -144,8 +140,8 @@ class MatMul(Function):
         a, b = self.inputs
         bt = b.data.swapaxes(-1, -2)
         at = a.data.swapaxes(-1, -2)
-        grad_a = np.matmul(grad_out, bt, out=_matmul_out(grad_out, bt))
-        grad_b = np.matmul(at, grad_out, out=_matmul_out(at, grad_out))
+        grad_a = np.matmul(grad_out, bt)
+        grad_b = np.matmul(at, grad_out)
         return (
             unbroadcast_raw(grad_a, self.a_shape),
             unbroadcast_raw(grad_b, self.b_shape),
@@ -154,12 +150,8 @@ class MatMul(Function):
 
 def _scale(x, c):
     """``x * c`` with ``c`` cast to the policy dtype, as the graph
-    route's ``Tensor(c)`` wrapping does.  Arena-buffered only when the
-    result dtype is certain (scalar dtype == array dtype)."""
-    s = as_array(c)
-    if s.dtype == x.dtype:
-        return np.multiply(x, s, out=_unary_out(x))
-    return np.asarray(np.multiply(x, s))
+    route's ``Tensor(c)`` wrapping does."""
+    return np.asarray(np.multiply(x, as_array(c)))
 
 
 def _mul_into(grad_out, t):

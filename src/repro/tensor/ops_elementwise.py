@@ -14,7 +14,6 @@ replicate the graph route's ``Tensor(mask)`` policy-dtype cast via
 
 import numpy as np
 
-from .arena import binary_out as _binary_out, unary_out as _unary_out
 from .function import Function, as_array, unbroadcast, unbroadcast_raw
 from .ops_basic import _mul_into
 from .tensor import Tensor
@@ -24,7 +23,7 @@ class Exp(Function):
     """Elementwise natural exponential."""
 
     def forward(self, a):
-        return np.exp(a, out=_unary_out(a))
+        return np.exp(a)
 
     def backward(self, grad_out):
         (a,) = self.inputs
@@ -34,7 +33,7 @@ class Exp(Function):
 
     def backward_raw(self, grad_out):
         (a,) = self.inputs
-        t = np.exp(a.data, out=_unary_out(a.data))
+        t = np.exp(a.data)
         return (_mul_into(grad_out, t),)
 
 
@@ -42,7 +41,7 @@ class Log(Function):
     """Elementwise natural logarithm."""
 
     def forward(self, a):
-        return np.log(a, out=_unary_out(a))
+        return np.log(a)
 
     def backward(self, grad_out):
         (a,) = self.inputs
@@ -59,7 +58,7 @@ class Tanh(Function):
     """Elementwise hyperbolic tangent."""
 
     def forward(self, a):
-        return np.tanh(a, out=_unary_out(a))
+        return np.tanh(a)
 
     def backward(self, grad_out):
         (a,) = self.inputs
@@ -68,7 +67,7 @@ class Tanh(Function):
 
     def backward_raw(self, grad_out):
         (a,) = self.inputs
-        t = np.tanh(a.data, out=_unary_out(a.data))
+        t = np.tanh(a.data)
         np.multiply(t, t, out=t)
         # `1.0 - u` in the graph route is `as_tensor(1.0) + (-u)`;
         # IEEE subtraction equals addition of the negation exactly,
@@ -83,9 +82,7 @@ class Sigmoid(Function):
 
     def forward(self, a):
         # Numerically stable logistic.
-        out = _unary_out(a)
-        if out is None:
-            out = np.empty_like(a)
+        out = np.empty_like(a)
         pos = a >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
         ea = np.exp(a[~pos])
@@ -100,11 +97,7 @@ class Sigmoid(Function):
     def backward_raw(self, grad_out):
         (a,) = self.inputs
         s = Sigmoid.forward(self, a.data)
-        one = as_array(1.0)
-        if one.dtype == s.dtype:
-            m = np.subtract(one, s, out=_unary_out(s))
-        else:
-            m = np.asarray(one - s)
+        m = np.asarray(as_array(1.0) - s)
         np.multiply(s, m, out=m)
         return (_mul_into(grad_out, m),)
 
@@ -114,7 +107,7 @@ class Relu(Function):
 
     def forward(self, a):
         self.mask = (a > 0).astype(a.dtype)
-        return np.multiply(a, self.mask, out=_unary_out(a))
+        return np.multiply(a, self.mask)
 
     def backward(self, grad_out):
         return (grad_out * Tensor(self.mask),)
@@ -128,7 +121,7 @@ class Abs(Function):
 
     def forward(self, a):
         self.sign = np.sign(a)
-        return np.abs(a, out=_unary_out(a))
+        return np.abs(a)
 
     def backward(self, grad_out):
         return (grad_out * Tensor(self.sign),)
@@ -142,7 +135,7 @@ class Clip(Function):
 
     def forward(self, a, low, high):
         self.mask = ((a >= low) & (a <= high)).astype(a.dtype)
-        return np.clip(a, low, high, out=_unary_out(a))
+        return np.clip(a, low, high)
 
     def backward(self, grad_out):
         return (grad_out * Tensor(self.mask),)
@@ -161,7 +154,7 @@ class Maximum(Function):
         ties = (a == b).astype(a.dtype) * 0.5
         self.mask_a = mask_a + ties
         self.mask_b = 1.0 - self.mask_a
-        return np.maximum(a, b, out=_binary_out(a, b))
+        return np.maximum(a, b)
 
     def backward(self, grad_out):
         return (
@@ -186,7 +179,7 @@ class Minimum(Function):
         ties = (a == b).astype(a.dtype) * 0.5
         self.mask_a = mask_a + ties
         self.mask_b = 1.0 - self.mask_a
-        return np.minimum(a, b, out=_binary_out(a, b))
+        return np.minimum(a, b)
 
     def backward(self, grad_out):
         return (
@@ -238,5 +231,4 @@ def _mask_mul_raw(grad_out, mask):
     product's dtype (and, for non-0/1 masks like ``Max``'s tie split,
     its bits) match the graph path.
     """
-    m = as_array(mask)
-    return np.multiply(grad_out, m, out=_binary_out(grad_out, m))
+    return np.multiply(grad_out, as_array(mask))

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from .arena import arena_take as _arena_take, binary_out as _binary_out
 from .function import Function, as_array
 from .tensor import Tensor
 
@@ -23,15 +22,6 @@ def _keepdims_shape(shape, axes):
     return tuple(1 if i in axes else s for i, s in enumerate(shape))
 
 
-def _reduced_shape(shape, axes, keepdims):
-    """Result shape of summing ``shape`` over ``axes``."""
-    if axes is None:
-        return (1,) * len(shape) if keepdims else ()
-    if keepdims:
-        return tuple(1 if i in axes else s for i, s in enumerate(shape))
-    return tuple(s for i, s in enumerate(shape) if i not in axes)
-
-
 class Sum(Function):
     """Sum over ``axis`` (int, tuple, or None for a full reduction)."""
 
@@ -39,8 +29,7 @@ class Sum(Function):
         self.in_shape = a.shape
         self.axes = _normalize_axis(axis, a.ndim)
         self.keepdims = keepdims
-        out = _arena_take(_reduced_shape(a.shape, self.axes, keepdims), a.dtype)
-        return a.sum(axis=self.axes, keepdims=keepdims, out=out)
+        return a.sum(axis=self.axes, keepdims=keepdims)
 
     def backward(self, grad_out):
         mid_shape = _keepdims_shape(self.in_shape, self.axes)
@@ -91,5 +80,4 @@ class Max(Function):
         # Tensor(mask) in the graph rule casts to the policy dtype; the
         # tie-split mask holds non-dyadic values (1/3, ...), so the
         # cast is replicated for bit parity.
-        m = as_array(self.mask)
-        return (np.multiply(expanded, m, out=_binary_out(expanded, m)),)
+        return (np.multiply(expanded, as_array(self.mask)),)

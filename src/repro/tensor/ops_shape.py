@@ -15,7 +15,6 @@ did not allocate, so aliasing is safe.
 
 import numpy as np
 
-from .arena import arena_take as _arena_take, zeros_buf as _zeros_buf
 from .function import Function
 
 
@@ -56,10 +55,6 @@ class Expand(Function):
 
     def forward(self, a, shape):
         self.in_shape = a.shape
-        buf = _arena_take(tuple(shape), a.dtype)
-        if buf is not None:
-            np.copyto(buf, a)
-            return buf
         return np.broadcast_to(a, shape).copy()
 
     def backward(self, grad_out):
@@ -101,7 +96,7 @@ class Slice(Function):
         return (Unslice.apply(grad_out, key=self.key, in_shape=self.in_shape),)
 
     def backward_raw(self, grad_out):
-        out = _zeros_buf(self.in_shape, grad_out.dtype)
+        out = np.zeros(self.in_shape, dtype=grad_out.dtype)
         out[self.key] = grad_out
         return (out,)
 
@@ -111,7 +106,7 @@ class Unslice(Function):
 
     def forward(self, g, key, in_shape):
         self.key = key
-        out = _zeros_buf(in_shape, g.dtype)
+        out = np.zeros(in_shape, dtype=g.dtype)
         out[key] = g
         return out
 
@@ -161,11 +156,7 @@ class TakeFlat(Function):
     def forward(self, a, indices):
         self.indices = indices
         self.in_shape = a.shape
-        flat = a.reshape(-1)
-        buf = _arena_take(indices.shape, a.dtype)
-        if buf is not None:
-            return np.take(flat, indices, out=buf)
-        return flat[indices]
+        return a.reshape(-1)[indices]
 
     def backward(self, grad_out):
         return (
@@ -189,16 +180,12 @@ class ScatterAddFlat(Function):
         return (grad_out.take_flat(self.indices),)
 
     def backward_raw(self, grad_out):
-        flat = grad_out.reshape(-1)
-        buf = _arena_take(self.indices.shape, grad_out.dtype)
-        if buf is not None:
-            return (np.take(flat, self.indices, out=buf),)
-        return (flat[self.indices],)
+        return (grad_out.reshape(-1)[self.indices],)
 
 
 def _scatter_add_flat_raw(g, indices, in_shape):
     """Zero-init scatter-add shared by the forward and the raw adjoint."""
-    out = _zeros_buf((int(np.prod(in_shape)),), dtype=g.dtype)
+    out = np.zeros(int(np.prod(in_shape)), dtype=g.dtype)
     np.add.at(out, indices.reshape(-1), g.reshape(-1))
     return out.reshape(in_shape)
 

@@ -74,6 +74,56 @@ class TestAdam:
         assert opt2._step_count == 1
         assert np.allclose(opt2._exp_avg[0], opt._exp_avg[0])
 
+    @pytest.mark.parametrize("cls", [Adam, AdamW])
+    def test_none_grad_moments_frozen(self, cls):
+        # A grad-less parameter is skipped: its weights and moments stay
+        # put, while the shared step count (bias correction) advances.
+        p = Parameter(np.array([1.0, -1.0], dtype=np.float32))
+        q = Parameter(np.array([0.5], dtype=np.float32))
+        opt = cls([p, q], lr=1e-2, weight_decay=0.05)
+        p.grad = Tensor(np.array([1.0, 2.0], dtype=np.float32))
+        q.grad = Tensor(np.array([1.0], dtype=np.float32))
+        opt.step()
+        frozen = [p.data.tobytes(), opt._exp_avg[0].tobytes(), opt._exp_avg_sq[0].tobytes()]
+        for step in (2, 3):
+            p.grad = None
+            q.grad = Tensor(np.array([1.0], dtype=np.float32))
+            opt.step()
+            assert opt._step_count == step
+            assert [p.data.tobytes(), opt._exp_avg[0].tobytes(), opt._exp_avg_sq[0].tobytes()] == frozen
+
+    @pytest.mark.parametrize("cls", [Adam, AdamW])
+    def test_float32_param_and_moments_stay_float32(self, cls):
+        p = Parameter(np.ones((2, 3), dtype=np.float32))
+        opt = cls([p], lr=1e-2, weight_decay=0.01)
+        for _ in range(2):
+            p.grad = Tensor(np.full((2, 3), 0.3), dtype=np.float64)
+            opt.step()
+        assert p.data.dtype == np.float32
+        assert opt._exp_avg[0].dtype == np.float32
+        assert opt._exp_avg_sq[0].dtype == np.float32
+
+    @pytest.mark.parametrize("cls", [Adam, AdamW])
+    def test_state_dict_with_none_entries_continues_identically(self, cls):
+        rng = np.random.default_rng(0)
+        params = [Parameter(rng.standard_normal(shape)) for shape in [(3, 2), (4,)]]
+        opt = cls(params, lr=1e-2, weight_decay=0.01)
+        params[0].grad = Tensor(rng.standard_normal((3, 2)))
+        opt.step()
+        state = opt.state_dict()
+        assert state["exp_avg"][1] is None and state["exp_avg_sq"][1] is None
+        clones = [Parameter(p.data.copy()) for p in params]
+        restored = cls(clones, lr=0.5)
+        restored.load_state_dict(state)
+        for _ in range(3):
+            grads = [rng.standard_normal(p.data.shape) for p in params]
+            for side in (params, clones):
+                for p, g in zip(side, grads):
+                    p.grad = Tensor(g)
+            opt.step()
+            restored.step()
+        assert [p.data.tobytes() for p in params] == [c.data.tobytes() for c in clones]
+
 
 class TestAdamW:
     def test_decoupled_decay_moves_weights_directly(self):

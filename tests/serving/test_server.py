@@ -13,11 +13,15 @@ The fault-model claims under test (see ``docs/serving.md``):
 * each crash window of the open-batch index and the served-input move
   heals: a stale marker is dropped, a marker without a record is
   skipped, and a re-serve finds inputs its first worker retired;
-* a server directory written before the index existed keeps serving.
+* a server directory written before the index existed keeps serving;
+* worker threads never parse two ``.npy`` headers at once (numpy's
+  ``ast.literal_eval`` parse is not thread-safe on CPython 3.11).
 """
 
+import ast
 import os
 import signal
+import threading
 import time
 from multiprocessing import get_context
 
@@ -335,6 +339,55 @@ class TestInferenceServer:
     def test_unknown_artifact_refused(self, tmp_path):
         with pytest.raises(KeyError):
             InferenceServer("feedfacefeedface", cache_dir=str(tmp_path))
+
+
+class TestThreadedReads:
+    @pytest.mark.parametrize("read", ["load", "try_response"])
+    def test_header_parses_never_overlap(self, tmp_path, monkeypatch, read):
+        """Four barrier-released threads read at once; a slowed
+        ``ast.literal_eval`` records how many parses overlap."""
+        store = RequestStore(str(tmp_path))
+        ids = []
+        for i in range(4):
+            ids.append(store.submit(np.full(3, i, dtype=np.float32)))
+            store.respond(ids[-1], np.full(2, i, dtype=np.float32))
+        parse = ast.literal_eval
+        counter = threading.Lock()
+        inside = {"now": 0, "max": 0}
+
+        def slow_parse(source):
+            with counter:
+                inside["now"] += 1
+                inside["max"] = max(inside["max"], inside["now"])
+            try:
+                time.sleep(0.02)
+                return parse(source)
+            finally:
+                with counter:
+                    inside["now"] -= 1
+
+        monkeypatch.setattr(ast, "literal_eval", slow_parse)
+        barrier = threading.Barrier(len(ids), timeout=10)
+        results = {}
+
+        def reader(request_id):
+            barrier.wait()
+            if read == "load":
+                results[request_id] = store.load(request_id)[0]
+            else:
+                results[request_id] = store.try_response(request_id)
+
+        threads = [threading.Thread(target=reader, args=(rid,)) for rid in ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside["max"] == 1
+        size = 3 if read == "load" else 2
+        assert {rid: results[rid].tolist() for rid in ids} == {
+            rid: [float(i)] * size for i, rid in enumerate(ids)
+        }
 
 
 def _offline(model, x):
