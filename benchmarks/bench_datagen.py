@@ -10,15 +10,16 @@ on the default profile:
 * ``vectorized`` — the batched sampler, bit-identical stream to the loop.
 * ``sharded`` — the v2 sharded generator (engine-dtype native, per-shard
   spawned streams), serial and with a worker pool.
-* ``cache_store`` / ``cache_load`` — cold publish and warm memory-map of
-  the dataset cache (a warm sweep performs zero generation work).
-* ``rss`` — the **peak-RSS axis**: cold cache writes measured in fresh
-  subprocesses, eager (whole dataset in RAM, then serialized) vs
-  streamed (shards written straight into the staged memmap entry,
-  pages evicted per shard).  The acceptance number is
+* ``cache_store`` / ``cache_load`` — cold streamed write and warm
+  memory-map of the dataset cache (a warm sweep performs zero
+  generation work).
+* ``rss`` — the **peak-RSS axis**, each side measured in a fresh
+  subprocess: in-RAM ``generate_dataset`` (the whole dataset resident)
+  vs the streamed cache write (shards written straight into the staged
+  memmap entry, pages evicted per shard).  The acceptance number is
   ``rss.streamed.shard_ratio`` — streamed peak growth in units of one
   shard, which must stay near 1 (< ~1.5) however large the dataset is,
-  while the eager ratio grows with the dataset.  See
+  while the in-RAM ratio grows with the dataset.  See
   ``docs/memory-model.md``.
 
 Standalone smoke mode (no pytest-benchmark needed — used by CI)::
@@ -38,7 +39,13 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from repro.data import generate_dataset, generate_synthetic, load_or_generate, resolve_spec
+from repro.data import (
+    generate_dataset,
+    generate_synthetic,
+    load_or_generate,
+    resolve_spec,
+    stream_dataset,
+)
 from repro.data.synthetic import _class_prototypes, _sample_images, _sample_images_loop, _split_labels
 
 PROFILE = "cifar10_like"
@@ -68,7 +75,7 @@ def generate_dataset_loop(spec):
 
 
 # ----------------------------------------------------------------------
-# Peak-RSS axis (streamed vs eager cold cache writes)
+# Peak-RSS axis (streamed cold cache write vs in-RAM generation)
 # ----------------------------------------------------------------------
 def _proc_status_kb(field):
     """A ``VmHWM``/``VmRSS``-style field from ``/proc/self/status`` (KiB)."""
@@ -91,34 +98,33 @@ def _reset_peak_rss():
 
 
 def _rss_probe(mode, train_size, shard_size, cache_dir, conn):
-    """Subprocess entry point: one cold cache write, peak RSS reported.
+    """Subprocess entry point: one generation, peak RSS reported.
 
-    Runs in its own interpreter with the peak-RSS counter reset after
-    imports, so the reported delta isolates the writer's working set
-    from both the interpreter+numpy baseline and anything inherited
-    from the bench parent.
+    ``mode`` is ``"in_ram"`` (``generate_dataset``, no cache) or
+    ``"streamed"`` (a cold write into the dataset cache).  Runs in its
+    own interpreter with the peak-RSS counter reset after imports, so
+    the reported delta isolates the generator's working set from both
+    the interpreter+numpy baseline and anything inherited from the
+    bench parent.
     """
     spec = resolve_spec(PROFILE, train_size=train_size)
     _reset_peak_rss()
     before = _proc_status_kb("VmRSS")
-    load_or_generate(
-        spec,
-        cache_dir=cache_dir,
-        workers=1,
-        shard_size=shard_size,
-        stream=(mode == "streamed"),
-    )
+    if mode == "streamed":
+        stream_dataset(spec, cache_dir, workers=1, shard_size=shard_size)
+    else:
+        generate_dataset(spec, workers=1, shard_size=shard_size)
     peak = _proc_status_kb("VmHWM")
     conn.send({"before_kb": before, "peak_kb": peak})
     conn.close()
 
 
 def run_rss_axis(shards=4, shard_size=65_536, out=print):
-    """Measure cold-write peak RSS, eager vs streamed; returns a dict.
+    """Measure peak RSS, in-RAM vs streamed; returns a dict.
 
     Generates a ``shards``-shard training split (``shards * shard_size``
-    samples) twice into throwaway caches, each write in its own spawned
-    subprocess.  Reported per mode: absolute peak, the delta over the
+    samples) twice — in RAM, then streamed into a throwaway cache —
+    each in its own spawned subprocess.  Reported per mode: absolute peak, the delta over the
     post-import baseline, and that delta in units of one shard
     (``shard_ratio``) — the streamed writer's acceptance bound is
     staying below ~1.5 shards regardless of dataset size.
@@ -136,7 +142,7 @@ def run_rss_axis(shards=4, shard_size=65_536, out=print):
         "dataset_mb": dataset_bytes / 2**20,
     }
     ctx = get_context("spawn")
-    for mode in ("eager", "streamed"):
+    for mode in ("in_ram", "streamed"):
         cache_dir = tempfile.mkdtemp(prefix=f"bench-datagen-rss-{mode}.")
         try:
             parent_conn, child_conn = ctx.Pipe()
@@ -165,7 +171,7 @@ def run_rss_axis(shards=4, shard_size=65_536, out=print):
             "shard_ratio": delta / shard_bytes,
         }
         out(
-            f"rss {mode:9s} write:  {delta / 2**20:8.1f} MB over baseline "
+            f"rss {mode:9s}:  {delta / 2**20:8.1f} MB over baseline "
             f"({results[mode]['shard_ratio']:.2f} shards of {shard_bytes / 2**20:.0f} MB; "
             f"dataset {dataset_bytes / 2**20:.0f} MB)"
         )
@@ -211,7 +217,7 @@ def run_smoke(
     pipeline variant's time for the same work (the acceptance number is
     ``speedups["sharded"]``); cache timings are absolute seconds.  The
     peak-RSS axis (``rss`` key, see :func:`run_rss_axis`) compares the
-    eager and streamed cold-write working sets.
+    in-RAM and streamed working sets.
     """
     workers = workers or (os.cpu_count() or 1)
     spec, prototypes, labels = _setup(train_size)
@@ -254,7 +260,7 @@ def run_smoke(
         start = time.perf_counter()
         load_or_generate(spec, cache_dir=cache_dir, workers=workers)
         t_load = time.perf_counter() - start
-        out(f"cache cold store:     {t_store:8.3f}s")
+        out(f"cache cold streamed:  {t_store:8.3f}s")
         out(f"cache warm mmap load: {t_load:8.3f}s  (zero generation work)")
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
@@ -294,7 +300,7 @@ def main(argv=None):
     parser.add_argument(
         "--no-rss",
         action="store_true",
-        help="skip the peak-RSS axis (streamed vs eager cold cache writes)",
+        help="skip the peak-RSS axis (streamed cache write vs in-RAM generation)",
     )
     parser.add_argument(
         "--rss-shards",

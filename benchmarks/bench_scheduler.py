@@ -1,4 +1,4 @@
-"""Sweep scheduler benchmark: pool vs queue, and raw journal overhead.
+"""Sweep scheduler benchmark: serial vs queue vs resume, and journal overhead.
 
 Two questions, measured separately:
 
@@ -7,10 +7,10 @@ Two questions, measured separately:
   JSON file, so this bounds how fine-grained queued tasks can be;
   training runs are seconds-to-hours, so thousands of ops/sec means
   the journal is invisible in practice.
-* **End-to-end** — one smoke grid through the serial loop, the pool
-  and the queue scheduler at the same worker count, plus a queue
-  *resume* pass (everything served from the journal — the number that
-  should be near zero).
+* **End-to-end** — one smoke grid through the serial loop and through
+  the queue (``workers`` local worker processes), plus a queue *resume*
+  pass (everything served from the journal — the number that should be
+  near zero).
 
 Standalone smoke mode (no pytest-benchmark needed — used by CI)::
 
@@ -81,30 +81,20 @@ def bench_journal_ops(ops):
 
 
 def bench_end_to_end(runs, workers):
-    """Wall-clock of the same grid through each backend (fresh caches)."""
+    """Wall-clock of the same grid serially and on the queue (fresh caches)."""
     configs = smoke_grid(runs)
     results = {}
     tmp = tempfile.mkdtemp(prefix="bench-sched-")
     try:
-        variants = [
-            ("serial", dict(workers=1)),
-            ("pool", dict(workers=workers)),
-            ("queue", dict(workers=workers, scheduler="queue")),
-        ]
-        for name, kwargs in variants:
+        for name, count in (("serial", 1), ("queue", workers)):
             cache = os.path.join(tmp, name)
             start = time.perf_counter()
-            report = run_sweep(configs, cache_dir=cache, mp_context="fork", **kwargs)
+            report = run_sweep(configs, workers=count, cache_dir=cache, mp_context="fork")
             results[name] = time.perf_counter() - start
-            assert report.n_errors == 0, f"{name} backend reported errors"
+            assert report.n_errors == 0, f"{name} sweep reported errors"
         # resume: the whole grid is served from the queue journal
         start = time.perf_counter()
-        report = run_sweep(
-            configs,
-            workers=workers,
-            cache_dir=os.path.join(tmp, "queue"),
-            scheduler="queue",
-        )
+        report = run_sweep(configs, workers=workers, cache_dir=os.path.join(tmp, "queue"))
         results["queue_resume"] = time.perf_counter() - start
         assert report.resumed == len(configs)
     finally:

@@ -41,6 +41,9 @@ from .trainer import Trainer
 
 _PENALTY_EPS = 1e-12
 
+#: Penalty forms of the Hessian term (``||Hz||`` or ``||Hz||^2``).
+PENALTIES = ("norm", "sq_norm")
+
 
 class HEROTrainer(Trainer):
     """The paper's method.
@@ -82,8 +85,8 @@ class HEROTrainer(Trainer):
             raise ValueError(f"perturbation step h must be positive, got {h}")
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
-        if penalty not in ("norm", "sq_norm"):
-            raise ValueError(f"penalty must be 'norm' or 'sq_norm', got {penalty!r}")
+        if penalty not in PENALTIES:
+            raise ValueError(f"penalty must be one of {PENALTIES}, got {penalty!r}")
         if perturbation not in PERTURBATIONS:
             raise ValueError(
                 f"perturbation must be one of {sorted(PERTURBATIONS)}, got {perturbation!r}"

@@ -15,7 +15,6 @@ from .pipeline import (
     load_or_generate,
     plan_shards,
     resolve_spec,
-    should_stream,
     warm_dataset,
 )
 from .streaming import StreamReport, evict, stream_dataset
@@ -31,7 +30,6 @@ __all__ = [
     "load_or_generate",
     "plan_shards",
     "resolve_spec",
-    "should_stream",
     "warm_dataset",
     "StreamReport",
     "evict",

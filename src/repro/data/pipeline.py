@@ -15,16 +15,16 @@ usable on its own:
    serial sharded generation.
 3. **On-disk dataset cache** — :func:`load_or_generate` memoizes whole
    generated datasets under a content-addressed directory cache
-   (:class:`repro.io.DirectoryCache`: atomic temp-dir + rename, per-key
-   inter-process locks).  A warm entry is **memory-mapped**, so many
-   sweep workers share one copy of the arrays instead of each
-   regenerating them.
-4. **Streaming writer** — datasets larger than one shard are, by
-   default, streamed shard-by-shard straight into the staged cache
-   entry (:mod:`repro.data.streaming`): pre-allocated memmaps, a
-   per-shard completion journal (interrupted generation resumes only
-   missing shards), peak RSS near one shard per writer, bit-identical
-   bytes to the eager path.  See ``docs/memory-model.md``.
+   (:class:`repro.io.DirectoryCache`: atomic rename, per-key
+   inter-process locks).  Every cold entry is written by the streaming
+   shard writer (:mod:`repro.data.streaming`) straight into a staged
+   entry: pre-allocated memmaps, a per-shard completion journal
+   (interrupted generation resumes only missing shards), peak RSS near
+   one shard per writer.  A one-shard split is the v1 stream written
+   into its memmap, so the bytes match in-RAM :func:`generate_dataset`
+   exactly.  A warm entry is **memory-mapped**, so many sweep workers
+   share one copy of the arrays instead of each regenerating them.
+   See ``docs/memory-model.md``.
 
 Generator versions
 ------------------
@@ -188,20 +188,6 @@ def split_generator_id(total, shard_size=None):
     if total <= shard_size:
         return "v1"
     return f"v{GENERATOR_VERSION}.s{shard_size}"
-
-
-def should_stream(spec, shard_size=None):
-    """Whether the auto policy streams ``spec`` to disk during generation.
-
-    Streaming pays off exactly when a dataset is big enough to shard:
-    a multi-shard dataset is written shard-by-shard into the staged
-    cache entry (resumable, ~one shard resident) instead of being
-    materialized in RAM first.  Single-shard datasets — every paper
-    experiment — keep the eager path.  Explicit ``stream=True/False``
-    on the generation entry points overrides this policy.
-    """
-    shard_size = _resolve_shard_size(shard_size)
-    return max(spec.train_size, spec.test_size) > shard_size
 
 
 def _split_labels_for(spec, split_offset):
@@ -437,78 +423,31 @@ def load_or_generate(
     workers=None,
     shard_size=None,
     mp_context="spawn",
-    stream=None,
     max_resident_mb=None,
 ):
     """Datasets for ``spec`` under the ambient engine dtype, cached on disk.
 
     With a ``cache_dir``, a warm entry is returned as memory-mapped
     arrays (zero generation work — the acceptance path for repeated
-    sweeps); a cold one is generated, published atomically, and
-    returned.  Without a ``cache_dir`` this is pure in-RAM generation,
-    exactly as the seed code behaved.
-
-    ``stream`` picks the cold-entry writer: ``True`` streams shards
-    directly into the staged cache entry (resumable, ~one shard
-    resident per writer — :mod:`repro.data.streaming`), ``False``
-    forces the eager in-RAM path, and ``None`` (default) streams
-    exactly when the dataset is larger than one shard
-    (:func:`should_stream`).  Both writers produce bit-identical
-    entries.  ``max_resident_mb`` bounds the streamed writer's
-    in-flight shard memory.  A streamed cold entry is returned
-    memory-mapped, like a warm hit.
+    sweeps); a cold one is streamed shard-by-shard into the cache
+    (:func:`repro.data.streaming.stream_dataset`: resumable, ~one shard
+    resident per writer, ``max_resident_mb`` bounding the shards in
+    flight) and returned memory-mapped, like a warm hit.  Without a
+    ``cache_dir`` this is pure in-RAM generation, exactly as the seed
+    code behaved.
     """
     if not cache_dir:
-        if stream:
-            raise ValueError(
-                "streamed generation writes through the dataset cache; "
-                "pass cache_dir or drop stream=True"
-            )
         return generate_dataset(spec, workers=workers, shard_size=shard_size, mp_context=mp_context)
-    cache = dataset_cache(cache_dir)
-    key = dataset_cache_key(spec, dtype=None, shard_size=shard_size)
-    entry = cache.fetch(key, _load_entry)
-    if entry is not None:
-        return entry
-    use_stream = stream if stream is not None else should_stream(spec, shard_size)
-    if use_stream:
-        from .streaming import stream_dataset
-
-        stream_dataset(
-            spec,
-            cache_dir,
-            workers=workers,
-            shard_size=shard_size,
-            max_resident_mb=max_resident_mb,
-            mp_context=mp_context,
-        )
-        entry = cache.fetch(key, _load_entry)
-        if entry is not None:
-            return entry
-        # Defensive: the committed entry vanished between commit and
-        # fetch (only an external wipe can do this) — fall through and
-        # regenerate eagerly rather than fail the caller.
-    train, test = generate_dataset(
-        spec, workers=workers, shard_size=shard_size, mp_context=mp_context
+    key, _hit = warm_dataset(
+        spec,
+        cache_dir,
+        workers=workers,
+        shard_size=shard_size,
+        mp_context=mp_context,
+        max_resident_mb=max_resident_mb,
     )
-
-    def build(tmp):
-        np.save(os.path.join(tmp, "train_inputs.npy"), train.inputs)
-        np.save(os.path.join(tmp, "train_targets.npy"), train.targets)
-        np.save(os.path.join(tmp, "test_inputs.npy"), test.inputs)
-        np.save(os.path.join(tmp, "test_targets.npy"), test.targets)
-        meta = {
-            "spec": asdict(spec),
-            "dtype": dtype_name(None),
-            "shard_size": _resolve_shard_size(shard_size),
-            "train_generator": split_generator_id(spec.train_size, shard_size),
-            "test_generator": split_generator_id(spec.test_size, shard_size),
-        }
-        with open(os.path.join(tmp, "meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=2)
-
-    cache.publish(key, build)
-    return train, test
+    # A complete entry is never committed again, so it is read unlocked.
+    return _load_entry(dataset_cache(cache_dir).entry_path(key))
 
 
 def warm_dataset(
@@ -517,33 +456,27 @@ def warm_dataset(
     workers=None,
     shard_size=None,
     mp_context="spawn",
-    stream=None,
     max_resident_mb=None,
 ):
     """Ensure the cache entry for ``spec`` exists; returns ``(key, hit)``.
 
     ``hit`` is True when the entry was already complete (no generation
     performed).  The sweep engine calls this for every unique dataset
-    signature in a grid *before* dispatching training workers, so the
-    workers memory-map shared arrays instead of regenerating them.
-    ``stream``/``max_resident_mb`` select and bound the streamed shard
-    writer exactly as in :func:`load_or_generate` (default: stream any
-    dataset larger than one shard), so warming a million-sample grid
-    never materializes a dataset in RAM; for per-shard accounting of a
-    warm pass use :func:`repro.data.streaming.stream_dataset` directly.
+    signature in a grid *before* its workers start, so they
+    memory-map shared arrays instead of regenerating them.  Cold
+    entries stream shard-by-shard (``max_resident_mb`` bounds the
+    shards in flight), so warming a million-sample grid never
+    materializes a dataset in RAM; for per-shard accounting use
+    :func:`repro.data.streaming.stream_dataset` directly.
     """
-    if not cache_dir:
-        raise ValueError("warm_dataset needs a cache_dir to warm")
-    key = dataset_cache_key(spec, dtype=None, shard_size=shard_size)
-    if dataset_cache(cache_dir).complete(key):
-        return key, True
-    load_or_generate(
+    from .streaming import stream_dataset  # streaming builds on this module
+
+    report = stream_dataset(
         spec,
-        cache_dir=cache_dir,
+        cache_dir,
         workers=workers,
         shard_size=shard_size,
-        mp_context=mp_context,
-        stream=stream,
         max_resident_mb=max_resident_mb,
+        mp_context=mp_context,
     )
-    return key, False
+    return report.key, report.hit

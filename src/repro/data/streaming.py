@@ -1,9 +1,9 @@
-"""Streaming shard writer: datasets flow to disk without a second RAM copy.
+"""Streaming shard writer: the one writer of the on-disk dataset cache.
 
-The eager pipeline (:mod:`repro.data.pipeline`) materializes a whole
-dataset in RAM and then serializes it into the dataset cache — fine at
-paper scale, memory-bound at the ROADMAP's million-sample scale.  This
-module is the out-of-core path:
+Every cold dataset-cache entry is generated here and flows to disk
+without a whole-dataset copy in RAM (in-RAM
+:func:`repro.data.pipeline.generate_dataset` remains for callers with
+no cache directory):
 
 * **Pre-allocated memmaps** — the staged cache entry's ``.npy`` files
   are created up front (sparse, full final size) inside the
@@ -27,11 +27,11 @@ module is the out-of-core path:
   ``max_resident_mb`` additionally caps how many writers may hold a
   shard in flight at once.
 
-The written bytes are **bit-identical to the eager path** (same
-per-shard generator streams, same arithmetic, pinned by the generator
-golden hashes), so streamed and in-RAM entries share cache keys
-interchangeably.  See ``docs/memory-model.md`` for the full memory
-model, including the read side (the out-of-core
+The written bytes are **bit-identical to in-RAM generation**: a
+one-shard split is the legacy v1 stream written into its memmap, and
+multi-shard splits use the same per-shard generator streams, pinned by
+the generator golden hashes.  See ``docs/memory-model.md`` for the full
+memory model, including the read side (the out-of-core
 :class:`~repro.data.dataset.DataLoader` mode).
 """
 
@@ -58,6 +58,7 @@ from .pipeline import (
     _resolve_shard_size,
     _sample_images_fast,
     _shard_rng,
+    _split_labels_for,
     dataset_cache,
     dataset_cache_key,
     plan_shards,
@@ -366,7 +367,7 @@ def stream_dataset(
 ):
     """Generate ``spec``'s cache entry by streaming shards to disk.
 
-    Resumable and bit-identical to the eager path: shards already
+    Resumable and bit-identical to in-RAM generation: shards already
     journaled ``done`` in the staging directory are skipped, the rest
     are drawn from their per-shard streams directly into the staged
     memmaps (``workers``-parallel, capped so at most
@@ -407,20 +408,11 @@ def stream_dataset(
         )
 
     if cache.complete(key):
-        # The entry may have been completed by another writer (e.g. an
-        # eager --no-stream rerun after an interrupted stream) while a
-        # dataset-sized staging dir still lingers; reap it under the
-        # staging lock so it can't race a live streamer.
-        if os.path.isdir(cache.staging_path(key)):
-            with file_lock(cache.staging_path(key) + ".lock"):
-                if cache.complete(key):
-                    cache.discard_staging(key)
         return hit_report()
 
     os.makedirs(cache.root, exist_ok=True)
     with file_lock(cache.staging_path(key) + ".lock"):
         if cache.complete(key):  # a concurrent streamer committed while we waited
-            cache.discard_staging(key)
             return hit_report()
         staging, _resumed_layout = _allocate_staging(cache, key, spec, shard_size)
         journal = shard_journal(staging)
@@ -449,8 +441,6 @@ def stream_dataset(
             missing = [i for i in range(len(shards)) if i not in done]
             split_report.resumed.extend(sorted(done))
             if missing:
-                from .pipeline import _split_labels_for  # lazy: see pipeline
-
                 targets = _open_targets(staging, name)
                 targets[:] = _split_labels_for(spec, offset)
                 evict(targets)
@@ -543,7 +533,6 @@ def _commit_staged(cache, key, staging, spec, shard_size, splits):
         "shard_size": shard_size,
         "train_generator": split_generator_id(spec.train_size, shard_size),
         "test_generator": split_generator_id(spec.test_size, shard_size),
-        "streamed": True,
     }
     with open(os.path.join(staging, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)

@@ -260,7 +260,6 @@ def make_dataset(
     cache_dir=None,
     workers=None,
     shard_size=None,
-    stream=None,
     max_resident_mb=None,
 ):
     """Instantiate a named profile, optionally overriding its scale.
@@ -274,11 +273,10 @@ def make_dataset(
     (see :mod:`repro.data.pipeline`); they never change the generated
     values — shard layout is a pure function of the spec and
     ``shard_size``, and the default small-dataset stream is identical
-    to the seed generator.  ``stream`` selects the streaming shard
-    writer for cold cache entries (default: automatic for multi-shard
-    datasets — resumable and never whole-in-RAM; see
-    :mod:`repro.data.streaming`) and ``max_resident_mb`` bounds its
-    in-flight shard memory; neither changes the generated bytes.
+    to the seed generator.  Cold cache entries are streamed to disk
+    shard-by-shard (resumable and never whole-in-RAM; see
+    :mod:`repro.data.streaming`); ``max_resident_mb`` bounds the
+    writer's in-flight shard memory and never changes the bytes.
     """
     from .pipeline import load_or_generate, resolve_spec
 
@@ -288,7 +286,6 @@ def make_dataset(
         cache_dir=cache_dir,
         workers=workers,
         shard_size=shard_size,
-        stream=stream,
         max_resident_mb=max_resident_mb,
     )
     return train, test, spec

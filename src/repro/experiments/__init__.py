@@ -37,9 +37,7 @@ from .runner import (
     DEFAULT_CACHE_DIR,
 )
 from .sweep import (
-    RunRecord,
     SweepReport,
-    SCHEDULERS,
     run_sweep,
     warm_cache,
     warm_for,
@@ -53,7 +51,7 @@ from .scheduler import (
     queue_name_for,
     format_queue,
 )
-from .reporting import format_table, format_series, save_json
+from .reporting import RunRecord, format_table, format_series, save_json
 from .table1 import run_table1, check_table1, format_table1, table1_configs
 from .table2 import run_table2, check_table2, format_table2, table2_configs
 from .table3 import run_table3, check_table3, format_table3, table3_configs
@@ -105,7 +103,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "RunRecord",
     "SweepReport",
-    "SCHEDULERS",
     "run_sweep",
     "warm_cache",
     "warm_for",

@@ -7,8 +7,7 @@ Usage::
     python -m repro.experiments all --profile fast
     python -m repro.experiments sweep --profile smoke --workers 4
     python -m repro.experiments sweep --spec grid.json --json report.json
-    python -m repro.experiments sweep --scheduler queue --workers 4
-    python -m repro.experiments sweep --scheduler queue --workers 0   # submit to a fleet
+    python -m repro.experiments sweep --workers 0   # submit to a fleet
     python -m repro.experiments worker --queue grid-1a2b3c4d5e6f
     python -m repro.experiments serve --workers 4
     python -m repro.experiments queue-status --json -
@@ -21,17 +20,16 @@ Usage::
 
 Each artifact prints its rendered table/figure and the paper-shape
 check result; ``--json`` additionally dumps the raw numbers.  The
-``sweep`` verb executes an experiment grid directly through the
-parallel sweep engine and reports per-run status, wall-clock and cache
-hits; ``--scheduler queue`` routes it through the durable, resumable
-work-stealing queue instead of the fixed pool.  The ``worker`` verb
-joins such a queue from any process — any machine sharing the cache
+``sweep`` verb executes an experiment grid directly through the sweep
+engine and reports per-run status, wall-clock and cache hits; with
+``--workers 2`` or more (the verb's default) the grid runs on the
+durable, resumable work-stealing queue.  The ``worker`` verb joins
+such a queue from any process — any machine sharing the cache
 directory — and drains tasks until the queue is empty (see
 ``docs/scheduler.md``).  The ``serve`` verb runs the long-lived fleet
 supervisor (:mod:`repro.service`): a resident pool of multi-queue
 workers that survives across sweeps, restarts workers that die and
-quarantines poison configs; ``sweep --scheduler queue --workers 0``
-submits a grid to such a fleet without spawning any processes of its
+quarantines poison configs; ``sweep --workers 0`` submits a grid to such a fleet without spawning any processes of its
 own.  ``queue-status`` prints (or with ``--json`` dumps) the fleet's
 versioned health snapshot — built entirely from lock-free reads, safe
 to run while workers are live (see ``docs/fleet.md``).  The serving
@@ -41,11 +39,11 @@ optionally folds BN and applies weight/activation PTQ, and publishes
 the result into the content-addressed artifact store;
 ``list-artifacts`` enumerates it; ``serve-model`` runs the
 micro-batched inference server over a published artifact.  The ``datagen`` verb pre-warms the on-disk
-dataset cache that sweep workers memory-map — multi-shard datasets
-stream straight into the staged entry (resumable after an interrupt,
-~one shard resident per writer; see ``docs/data-pipeline.md`` and
-``docs/memory-model.md``) and the per-shard generated/cached mix is
-reported for each split.
+dataset cache that sweep workers memory-map — datasets stream
+shard-by-shard straight into the staged entry (resumable after an
+interrupt, ~one shard resident per writer; see
+``docs/data-pipeline.md`` and ``docs/memory-model.md``) and the
+per-shard generated/cached mix is reported for each split.
 """
 
 import argparse
@@ -84,14 +82,13 @@ from . import (
     run_table3,
     save_json,
 )
-from ..data.pipeline import dataset_cache_dir, resolve_spec, warm_dataset
+from ..data.pipeline import WORKERS_ENV, dataset_cache_dir, resolve_spec
+from ..messages import SchemaError
 from ..tensor import set_default_dtype
 from .ablations import ablation_configs
 from .config import TrainConfig, make_grid
 from .runner import default_cache_dir
 from .sweep import (
-    SCHEDULERS,
-    WORKERS_ENV,
     format_sweep,
     resolve_workers,
     run_sweep,
@@ -182,7 +179,8 @@ def build_parser():
         type=int,
         default=None,
         help=f"worker processes (default: ${WORKERS_ENV} or serial; "
-        "the sweep verb defaults to a small pool)",
+        "the sweep verb defaults to 2-4 queue workers, and 0 submits "
+        "the grid to a running fleet)",
     )
     parser.add_argument(
         "--dtype",
@@ -223,13 +221,6 @@ def build_parser():
         "--spec",
         default=None,
         help="JSON file with a list of TrainConfig dicts; overrides the grid flags",
-    )
-    sweep_group.add_argument(
-        "--scheduler",
-        default="pool",
-        choices=SCHEDULERS,
-        help="execution backend: the fixed multiprocessing pool, or the "
-        "durable resumable work-stealing queue (default: pool)",
     )
     queue_group = parser.add_argument_group("queue scheduler (sweep/worker verbs)")
     queue_group.add_argument(
@@ -358,18 +349,10 @@ def build_parser():
         help="samples per generation shard (default: repro.data.pipeline default)",
     )
     datagen_group.add_argument(
-        "--stream",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="stream shards straight into the staged cache entry "
-        "(resumable, ~one shard resident per writer); --no-stream forces "
-        "the eager in-RAM writer (default: stream any multi-shard dataset)",
-    )
-    datagen_group.add_argument(
         "--max-resident-mb",
         type=float,
         default=None,
-        help="cap the streamed writer's in-flight shard memory (MB) by "
+        help="cap the dataset writer's in-flight shard memory (MB) by "
         "clamping how many workers may hold a shard at once",
     )
     return parser
@@ -398,9 +381,14 @@ def sweep_configs_from_args(args):
 def run_sweep_command(args, out=sys.stdout):
     """The ``sweep`` verb: execute a grid, print the report.
 
-    Returns the number of failed runs (shell-exit-code shaped).
+    Returns the number of failed runs (shell-exit-code shaped).  An
+    invalid grid or ``--spec`` entry exits non-zero before anything is
+    enqueued or trained.
     """
-    configs = sweep_configs_from_args(args)
+    try:
+        configs = sweep_configs_from_args(args)
+    except SchemaError as exc:
+        raise SystemExit(f"invalid sweep spec: {exc}") from None
     if args.workers is not None:
         workers = args.workers
     elif os.environ.get(WORKERS_ENV):
@@ -411,10 +399,8 @@ def run_sweep_command(args, out=sys.stdout):
         configs,
         workers=workers,
         force=args.no_cache,
-        scheduler=args.scheduler,
         queue_name=args.queue,
         lease_timeout=args.lease_timeout,
-        stream=args.stream,
         max_resident_mb=args.max_resident_mb,
     )
     print(format_sweep(report), file=out)
@@ -437,7 +423,7 @@ def resolve_queue_root(name, cache_dir=None):
     if name:
         root = os.path.abspath(name) if os.path.isdir(name) else queue_root(cache_dir, name)
         if not os.path.exists(os.path.join(root, "meta.json")):
-            raise SystemExit(f"no queue at {root}; start one with 'sweep --scheduler queue'")
+            raise SystemExit(f"no queue at {root}; start one with 'sweep --workers N'")
         return root
     queues_dir = os.path.join(cache_dir, QUEUE_SUBDIR)
     candidates = sorted(
@@ -449,7 +435,7 @@ def resolve_queue_root(name, cache_dir=None):
         return os.path.join(queues_dir, candidates[0])
     if not candidates:
         raise SystemExit(f"no queues under {queues_dir}; start one with "
-                         "'sweep --scheduler queue' or pass --queue")
+                         "'sweep --workers N' or pass --queue")
     raise SystemExit(
         "multiple queues exist; pass --queue one of: " + ", ".join(candidates)
     )
@@ -719,39 +705,19 @@ def run_serve_model_command(args, out=sys.stdout):
     return 0
 
 
-def _datagen_eager_splits(spec, shard_size, hit):
-    """Shard accounting for the eager writer (all-or-nothing per entry)."""
-    from ..data import plan_shards
-
-    splits = []
-    for name, total in (("train", spec.train_size), ("test", spec.test_size)):
-        shards = len(plan_shards(total, shard_size))
-        splits.append(
-            {
-                "split": name,
-                "shards": shards,
-                "generated": [] if hit else list(range(shards)),
-                "resumed": [],
-                "cached": shards if hit else 0,
-            }
-        )
-    return splits
-
-
 def run_datagen_command(args, out=sys.stdout):
     """The ``datagen`` verb: pre-warm the on-disk dataset cache.
 
     Generates every ``--datasets`` profile at the requested sizes into
-    the dataset cache the sweep workers will memory-map — streamed
-    shard-by-shard for multi-shard datasets (``--stream``/``--no-stream``
-    to override, ``--max-resident-mb`` to bound writer memory), eager
-    otherwise.  Each dataset is reported at **shard granularity**:
-    shards generated this run vs shards served from the cache (a
-    resumed interrupt shows up as a mix).  Returns 0 on success (a warm
+    the dataset cache the sweep workers will memory-map, streamed
+    shard-by-shard (``--max-resident-mb`` bounds writer memory).  Each
+    dataset is reported at **shard granularity**: shards generated this
+    run vs shards served from the cache (a resumed interrupt shows up
+    as a mix).  Returns 0 on success (a warm
     entry counts as success); returns 1 when the dataset cache is
     disabled, since there is nothing to warm.
     """
-    from ..data import should_stream, stream_dataset
+    from ..data import stream_dataset
 
     cache_dir = dataset_cache_dir(default_cache_dir())
     if not cache_dir:
@@ -765,39 +731,21 @@ def run_datagen_command(args, out=sys.stdout):
     results = []
     for profile in _csv(args.datasets):
         spec = resolve_spec(profile, train_size=args.train_size, test_size=args.test_size)
-        streamed = args.stream if args.stream is not None else should_stream(spec, args.shard_size)
-        start = time.perf_counter()
-        if streamed:
-            report = stream_dataset(
-                spec,
-                cache_dir,
-                workers=workers,
-                shard_size=args.shard_size,
-                max_resident_mb=args.max_resident_mb,
-            )
-            key, hit = report.key, report.hit
-            resumed_only = not hit and report.n_generated == 0
-            splits = report.to_dict()["splits"]
-        else:
-            key, hit = warm_dataset(
-                spec, cache_dir, workers=workers, shard_size=args.shard_size, stream=False
-            )
-            resumed_only = False
-            splits = _datagen_eager_splits(spec, args.shard_size, hit)
-        seconds = time.perf_counter() - start
+        report = stream_dataset(
+            spec,
+            cache_dir,
+            workers=workers,
+            shard_size=args.shard_size,
+            max_resident_mb=args.max_resident_mb,
+        )
+        key, hit, seconds = report.key, report.hit, report.seconds
+        splits = report.to_dict()["splits"]
         results.append(
-            {
-                "profile": profile,
-                "key": key,
-                "hit": hit,
-                "seconds": seconds,
-                "streamed": streamed,
-                "splits": splits,
-            }
+            {"profile": profile, "key": key, "hit": hit, "seconds": seconds, "splits": splits}
         )
         if hit:
             status = "cached"
-        elif resumed_only:
+        elif report.n_generated == 0:
             # every shard was journaled done; this run only committed
             status = f"resumed in {seconds:.2f}s"
         else:

@@ -14,6 +14,17 @@ compound — so ``h``/``gamma``/``lambda_l1`` were re-gridded per
 architecture following the paper's own protocol (grid search, keep the
 best test accuracy).  The chosen values live in :data:`METHOD_HYPERS`
 and the grid itself is regenerated by the ablation bench.
+
+Validation
+----------
+A config is checked when it is built, so a bad sweep spec fails in the
+process that loads it, before anything is enqueued.  Every field must
+have its annotated type (a bool is not an int), ``method``/``penalty``
+/``perturbation`` must name a registered choice and ``label_noise``
+must lie in [0, 1).  Failures raise the typed
+:class:`repro.messages.FieldTypeError` naming the field.  An int given
+for a float field is stored as a float, so ``lr: 1`` and ``lr: 1.0``
+share one cache key.
 """
 
 import hashlib
@@ -22,6 +33,18 @@ from dataclasses import dataclass, asdict, replace
 from dataclasses import fields as dataclasses_fields
 from itertools import product
 
+from ..core import PERTURBATIONS, available_methods
+from ..core.hero import PENALTIES
+from ..messages import (
+    FieldTypeError,
+    UnknownFieldError,
+    enum,
+    is_bool,
+    is_int,
+    is_number,
+    is_str,
+    nullable,
+)
 from ..tensor import dtype_name
 
 
@@ -89,6 +112,17 @@ class TrainConfig:
     # follow the ambient precision policy (REPRO_DTYPE / dtype_context).
     dtype: str = None
 
+    def __post_init__(self):
+        for field in dataclasses_fields(self):
+            value = getattr(self, field.name)
+            _FIELD_CHECKS[field.name].validate(value, f"TrainConfig.{field.name}")
+            if field.type is float and isinstance(value, int):
+                object.__setattr__(self, field.name, float(value))
+        if not 0.0 <= self.label_noise < 1.0:
+            raise FieldTypeError(
+                f"TrainConfig.label_noise: must lie in [0, 1), got {self.label_noise!r}"
+            )
+
     def resolved_dtype(self):
         """The run's engine dtype name, resolving ``None`` to the policy."""
         return dtype_name(self.dtype)
@@ -117,14 +151,40 @@ class TrainConfig:
     def from_dict(cls, payload):
         """Rebuild a config from :meth:`to_dict` output (e.g. a sweep spec).
 
-        Unknown keys raise so that a typo'd sweep spec fails loudly
-        instead of silently training the default configuration.
+        Unknown keys raise :class:`repro.messages.UnknownFieldError` so
+        that a typo'd sweep spec fails loudly instead of silently
+        training the default configuration; bad values fail the checks
+        described in the module docstring.
         """
-        fields = {f.name for f in dataclasses_fields(cls)}
-        unknown = set(payload) - fields
+        if not isinstance(payload, dict):
+            raise FieldTypeError(f"TrainConfig: expected an object, got {payload!r}")
+        unknown = set(payload) - set(_FIELD_CHECKS)
         if unknown:
-            raise KeyError(f"unknown TrainConfig fields: {sorted(unknown)}")
+            raise UnknownFieldError(f"unknown TrainConfig fields: {sorted(unknown)}")
         return cls(**payload)
+
+
+#: Names the enumerated fields accept.
+_CHOICES = {
+    "method": available_methods(),
+    "penalty": PENALTIES,
+    "perturbation": sorted(PERTURBATIONS),
+}
+
+_TYPE_CHECKS = {str: is_str, int: is_int, float: is_number, bool: is_bool}
+
+
+def _field_check(field):
+    """A field's check: its choices or its annotated type, nullable when
+    the default is ``None``."""
+    if field.name in _CHOICES:
+        check = enum(*_CHOICES[field.name])
+    else:
+        check = _TYPE_CHECKS[field.type]
+    return nullable(check) if field.default is None else check
+
+
+_FIELD_CHECKS = {field.name: _field_check(field) for field in dataclasses_fields(TrainConfig)}
 
 
 def make_config(paper_model, dataset, method, profile="fast", seed=0, **overrides):

@@ -1,10 +1,10 @@
 """Run records and plain-text rendering of reproduction tables/series.
 
-This module owns the :class:`RunRecord` every execution backend (the
-serial loop, the multiprocessing pool, the queued scheduler's workers)
-produces for one training run, plus its JSON round-trip — the queue
-journal persists records through :func:`record_to_dict` /
-:func:`record_from_dict`, so the schema lives next to the dataclass.
+This module owns the :class:`RunRecord` every sweep path (the serial
+loop, the queued scheduler's workers) produces for one training run,
+plus its JSON round-trip — the queue journal persists records through
+:func:`record_to_dict` / :func:`record_from_dict`, so the schema lives
+next to the dataclass.
 
 The environment has no plotting stack, so figures are reported as
 aligned numeric series (and, for Fig. 3, ASCII contours) — enough to

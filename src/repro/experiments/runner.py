@@ -278,10 +278,9 @@ def execute_record(
 ):
     """Run one config and contain any crash as a :class:`RunRecord`.
 
-    The single execution step shared by every sweep backend — the
-    serial loop, the multiprocessing pool and the queued scheduler's
-    work-stealing workers all drive the same code, which is what makes
-    their results interchangeable.  ``callback_factory`` (if any) is
+    The single execution step shared by every sweep path — the serial
+    loop and the queued scheduler's work-stealing workers drive the
+    same code, which is what makes their results interchangeable.  ``callback_factory`` (if any) is
     called here, *inside* the executing process, so unpicklable
     callback state never crosses a process boundary.
     ``extra_callbacks`` are appended to the factory's callbacks —

@@ -1,11 +1,11 @@
 """Queued, resumable sweep scheduling with work-stealing workers.
 
-The multiprocessing pool (:func:`repro.experiments.sweep.run_sweep`'s
-default backend) dispatches a fixed grid up front: a straggler run
-idles every other worker, a crashed sweep forfeits its bookkeeping,
-and only processes forked by the parent can participate.  This module
-replaces that dispatch with a **durable task queue** shared through
-the run-cache directory:
+This is the one parallel executor behind
+:func:`repro.experiments.sweep.run_sweep`: any sweep with ``workers >=
+2`` (or ``workers=0``, a fleet submission) runs through a **durable
+task queue** shared through the run-cache directory, so a straggler
+run never idles the other workers, a crashed sweep keeps its
+bookkeeping, and any process that can see the cache may join:
 
 * **Journal** — one :class:`repro.io.JsonJournal` record per config
   signature under ``<cache>/queue/<name>/journal/``, transitioned
@@ -17,20 +17,21 @@ the run-cache directory:
   claim; once the lease expires any other worker **steals** the task
   and re-runs it (results are deterministic per config, so a re-run
   is bit-identical).  A task whose lease expires
-  :data:`DEFAULT_MAX_ATTEMPTS` times is marked ``error`` instead of
-  looping forever — the poison-task backstop.
+  :data:`DEFAULT_MAX_ATTEMPTS` times is marked ``quarantined`` instead
+  of looping forever — the poison-task backstop.
 * **Work-stealing workers** — :func:`worker_loop` is a claim → train
   → record loop any number of processes can run concurrently, on any
   machine sharing the cache directory (``python -m repro.experiments
   worker``).  Workers drain the queue and exit; adding workers
   mid-sweep just makes it drain faster.
 * **Resume** — re-enqueueing the same grid keeps ``done`` records
-  (their metrics are served straight from the journal) and re-runs
-  everything else.  An interrupted sweep picks up where it left off
-  with zero duplicated training.
+  whose run-cache entries are intact (their metrics are served
+  straight from the journal) and re-runs everything else.  An
+  interrupted sweep picks up where it left off with zero duplicated
+  training.
 
-Crash-in-task semantics are unchanged from the pool backend: an
-exception inside a run is contained as an ``error`` record by
+Crash-in-task semantics match the serial loop: an exception inside a
+run is contained as an ``error`` record by
 :func:`repro.experiments.runner.execute_record` and is **not**
 retried within the sweep (a deterministic failure would fail again);
 only lease expiry — evidence the *worker* died, not the task —
@@ -52,7 +53,7 @@ from ..messages import JournalEntryV2, MessageError
 from ..messages import parse as parse_message
 from .config import TrainConfig
 from .reporting import RunRecord, record_from_dict, record_to_dict
-from .runner import execute_record
+from .runner import _cache_complete, execute_record
 
 #: Journal entry schema version, bumped on any incompatible change.
 #: Single-sourced from :class:`repro.messages.JournalEntryV2` — the
@@ -95,9 +96,9 @@ QUEUE_SUBDIR = "queue"
 def queue_name_for(configs):
     """Deterministic queue name for a grid: hash of its ordered run keys.
 
-    The same grid always maps to the same queue, which is what makes
-    ``run_sweep(scheduler="queue")`` resumable without the caller
-    naming anything; distinct grids land in distinct queues.
+    The same grid always maps to the same queue, which is what makes a
+    parallel ``run_sweep`` resumable without the caller naming
+    anything; distinct grids land in distinct queues.
     """
     keys = "\n".join(config.cache_key() for config in configs)
     return "grid-" + hashlib.sha256(keys.encode()).hexdigest()[:12]
@@ -268,7 +269,10 @@ class TaskQueue:
         * ``pending``/``leased`` → untouched (an expired lease is the
           claim path's business, not enqueue's);
         * ``done`` → untouched and counted in ``resumed`` — its stored
-          record is served without re-running anything;
+          record is served without re-running anything — as long as
+          its run-cache entry is complete; a ``done`` task whose entry
+          was deleted or torn since is re-pended, since the journal
+          must never vouch for weights the cache no longer holds;
         * ``quarantined`` → untouched and counted in ``resumed``: the
           poison backstop already parked it with a terminal record, and
           re-running it would just feed it more workers.  Only
@@ -293,7 +297,12 @@ class TaskQueue:
 
             def mutate(current, key=key, fresh=fresh, state=state):
                 entry = None if current is None else parse_entry(current, key=key)
-                if entry is None or force or entry["status"] == ERROR:
+                lost = (
+                    entry is not None
+                    and entry["status"] == DONE
+                    and not _cache_complete(os.path.join(self.cache_dir, key))
+                )
+                if entry is None or force or entry["status"] == ERROR or lost:
                     state["outcome"] = "enqueued"
                     return fresh
                 state["outcome"] = (
@@ -744,6 +753,15 @@ def worker_loop(
 
 
 def _worker_main(task):
-    """Process entry point for locally spawned workers (picklable)."""
+    """Process entry point of the workers ``run_sweep`` spawns (picklable).
+
+    ``task`` is ``(root, worker, callback_factory, poll)``.  The worker
+    exits at its first idle scan instead of napping ``poll`` seconds:
+    every task of the sweep was enqueued before it started, so nothing
+    runnable can appear later except a dead worker's expired lease, and
+    ``run_sweep`` steals those itself once its workers have exited.
+    """
     root, worker, callback_factory, poll = task
-    return worker_loop(root, worker=worker, callback_factory=callback_factory, poll=poll)
+    return worker_loop(
+        root, worker=worker, callback_factory=callback_factory, poll=poll, wait=False
+    )

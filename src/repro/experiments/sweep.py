@@ -1,9 +1,21 @@
-"""Parallel experiment sweep engine.
+"""Experiment sweep engine: one serial loop, one parallel executor.
 
 Every table and figure in the reproduction is a grid of independent
 :class:`~repro.experiments.config.TrainConfig` runs, already memoized
-under the run cache.  This module executes such grids across a
-``multiprocessing`` worker pool:
+under the run cache.  :func:`run_sweep` executes such grids; the
+worker count alone picks the path:
+
+* ``workers=1`` (the default) — an in-process loop, deterministic and
+  fork-free, so unit tests and small grids need nothing else.
+* ``workers>=2`` — the grid is enqueued into a durable task queue under
+  the run cache (:mod:`repro.experiments.scheduler`) and drained by
+  that many local work-stealing worker processes.  Every parallel
+  sweep is resumable: call it again after an interrupt and finished
+  runs are served from the journal.
+* ``workers=0`` — enqueue only and tail the journal while a resident
+  fleet (:mod:`repro.service`) executes the grid.
+
+Properties every path shares:
 
 * **Lock-safe caching** — workers share the on-disk run cache; the
   runner's write-to-temp-then-rename stores plus per-key inter-process
@@ -13,23 +25,18 @@ under the run cache.  This module executes such grids across a
   exactly the same run keys, weights and metrics as a serial one.
 * **Structured reporting** — each run yields a :class:`RunRecord`
   (status, wall-clock, cache hit, metrics) aggregated into a
-  :class:`SweepReport`; a worker crash is contained as an ``error``
-  record instead of taking down the sweep.
+  :class:`SweepReport`; a crash inside a run is contained as an
+  ``error`` record instead of taking down the sweep.
+* **Dataset warm-up** — before its workers start, a parallel sweep
+  writes every unique dataset signature in the grid once into the
+  on-disk dataset cache (``<run cache>/datasets``) through the
+  streaming shard writer (:mod:`repro.data.streaming`); workers then
+  memory-map the shared arrays instead of regenerating them, and a
+  repeat sweep performs zero generation work.
 
-* **Dataset warm-up** — before dispatching training workers, the sweep
-  generates every unique dataset signature in the grid once into the
-  on-disk dataset cache (``<run cache>/datasets``), sharded and
-  vectorized (:mod:`repro.data.pipeline`); workers then memory-map the
-  shared arrays instead of regenerating them, and a repeat sweep
-  performs zero generation work.  Multi-shard datasets are **streamed**
-  into the staged cache entry (:mod:`repro.data.streaming`) — ~one
-  shard resident per writer, resumable via a per-shard journal — so
-  warming million-sample grids is disk-bound, not RAM-bound.
-
-Workers default to serial execution so unit tests and small grids stay
-deterministic and fork-free; opt in with ``workers=N`` or the
-``REPRO_WORKERS`` environment variable.  The ``python -m
-repro.experiments sweep`` CLI verb exposes the engine directly.
+Opt in to parallelism with ``workers=N`` or the ``REPRO_WORKERS``
+environment variable.  The ``python -m repro.experiments sweep`` CLI
+verb exposes the engine directly.
 
 Examples
 --------
@@ -53,23 +60,13 @@ Equivalent shell invocations (the env vars every layer honors)::
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 
-from ..data.pipeline import (
-    WORKERS_ENV,
-    dataset_cache_dir,
-    resolve_spec,
-    resolve_workers,
-    warm_dataset,
-)
+from ..data.pipeline import dataset_cache_dir, resolve_spec, resolve_workers, warm_dataset
 from ..tensor import dtype_context, dtype_name
-from .reporting import RunRecord, format_table, record_to_dict
+from . import scheduler as sched
+from .reporting import format_table, record_to_dict
 from .runner import _DEFAULT_CACHE, default_cache_dir, execute_record
-
-#: Execution backends ``run_sweep`` accepts.  ``"pool"`` is the PR 1
-#: multiprocessing pool (fixed dispatch, parent-owned); ``"queue"`` is
-#: the durable work-stealing scheduler (:mod:`.scheduler`) — resumable,
-#: joinable from other machines, straggler-proof.
-SCHEDULERS = ("pool", "queue")
 
 
 @dataclass
@@ -83,8 +80,7 @@ class SweepReport:
     deduped: int = 0  #: configs dropped because their run key repeated
     datasets_warmed: int = 0  #: dataset-cache entries generated by the warm pass
     dataset_cache_hits: int = 0  #: dataset signatures already cached (zero generation)
-    scheduler: str = "pool"  #: backend that executed the grid ("pool" | "queue")
-    queue: str = None  #: queue directory (queue scheduler only)
+    queue: str = None  #: queue directory (parallel and fleet sweeps only)
     resumed: int = 0  #: tasks served straight from the journal (already done)
     stolen: int = 0  #: expired leases re-claimed by another worker
     quarantined: int = 0  #: tasks parked by the fleet's poison patrol
@@ -117,7 +113,6 @@ class SweepReport:
             "cache_hits": self.cache_hits,
             "datasets_warmed": self.datasets_warmed,
             "dataset_cache_hits": self.dataset_cache_hits,
-            "scheduler": self.scheduler,
             "queue": self.queue,
             "resumed": self.resumed,
             "stolen": self.stolen,
@@ -126,38 +121,18 @@ class SweepReport:
         }
 
 
-def _execute_task(task):
-    """Pool entry point: run one config, contain any crash.
-
-    Must stay a module-level function so it pickles under the ``spawn``
-    start method.  ``task`` is ``(config, cache_dir, force,
-    callback_factory)``; the execution itself lives in
-    :func:`repro.experiments.runner.execute_record`, shared with the
-    queue scheduler's workers.
-    """
-    config, cache_dir, force, callback_factory = task
-    return execute_record(
-        config, cache_dir=cache_dir, force=force, callback_factory=callback_factory
-    )
-
-
-def warm_datasets(configs, cache_dir, workers=None, stream=None, max_resident_mb=None):
+def warm_datasets(configs, cache_dir, workers=None, max_resident_mb=None):
     """Generate each unique dataset signature in ``configs`` once.
 
     Deduplicates the grid down to its ``(profile, train_size,
     test_size, dtype)`` signatures and ensures a dataset-cache entry
-    exists for each, generating cold ones through the sharded pipeline
-    (``workers``-parallel for datasets large enough to shard).  Returns
-    ``(warmed, hits)`` — entries generated vs. already present.  A
-    no-op returning ``(0, 0)`` when no dataset cache is resolvable from
-    ``cache_dir`` / ``REPRO_DATASET_CACHE``.
-
-    ``stream`` / ``max_resident_mb`` select and bound the streaming
-    shard writer (:mod:`repro.data.streaming`).  The default (auto)
-    streams any multi-shard dataset straight into its staged cache
-    entry, so warming a million-sample grid holds ~one shard per
-    writer in RAM instead of whole datasets, and an interrupted warm
-    pass resumes from its per-shard journal.
+    exists for each, streaming cold ones shard-by-shard into the cache
+    (``workers``-parallel for datasets large enough to shard, at most
+    ``max_resident_mb`` of shards in flight; an interrupted warm pass
+    resumes from its per-shard journal).  Returns ``(warmed, hits)`` —
+    entries generated vs. already present.  A no-op returning ``(0,
+    0)`` when no dataset cache is resolvable from ``cache_dir`` /
+    ``REPRO_DATASET_CACHE``.
     """
     dataset_dir = dataset_cache_dir(cache_dir)
     if not dataset_dir:
@@ -182,11 +157,7 @@ def warm_datasets(configs, cache_dir, workers=None, stream=None, max_resident_mb
             continue
         with dtype_context(dtype):
             _key, hit = warm_dataset(
-                spec,
-                dataset_dir,
-                workers=workers,
-                stream=stream,
-                max_resident_mb=max_resident_mb,
+                spec, dataset_dir, workers=workers, max_resident_mb=max_resident_mb
             )
         if hit:
             hits += 1
@@ -203,39 +174,36 @@ def run_sweep(
     callback_factory=None,
     mp_context="spawn",
     progress=None,
-    scheduler="pool",
     queue_name=None,
     lease_timeout=None,
-    stream=None,
     max_resident_mb=None,
 ):
     """Execute every config in ``configs``; returns a :class:`SweepReport`.
 
     Configs whose run key repeats are deduplicated (the cache would
-    serve the duplicate anyway).  Two parallel backends:
+    serve the duplicate anyway).  The resolved worker count picks the
+    executor:
 
-    * ``scheduler="pool"`` (default): with ``workers > 1`` the unique
-      configs are distributed over a ``multiprocessing`` pool — the
-      PR 1 engine, unchanged.
-    * ``scheduler="queue"``: the grid is enqueued into a durable task
-      queue under the run cache (:mod:`repro.experiments.scheduler`),
-      ``workers`` local work-stealing workers drain it (one inline
-      worker when ``workers <= 1``), and the journal is tailed into
-      the report.  Interrupt the sweep and call again: ``done`` tasks
-      are served from the journal, only the rest re-run.  Extra
-      workers — other machines sharing the cache dir — may join via
-      ``python -m repro.experiments worker`` at any time.  With
-      ``workers=0`` the sweep spawns *no* workers at all: it enqueues
-      the grid and tails the journal until some external fleet — a
-      resident :class:`repro.service.FleetSupervisor` pool, typically —
-      drains it.  This is how sweeps are submitted to a long-lived
-      ``serve`` fleet instead of bringing their own processes.
+    * ``1`` — the configs run one after another in this process.
+    * ``>= 2`` — the grid is enqueued into a durable task queue under
+      the run cache (:mod:`repro.experiments.scheduler`), its datasets
+      are warmed, and ``workers`` local work-stealing processes drain
+      it while the journal is tailed into the report.  Interrupt the
+      sweep and call again: ``done`` tasks whose run-cache entries are
+      intact are served from the journal (and reported as cache hits),
+      only the rest re-run.  Extra workers — other machines sharing
+      the cache dir — may join via ``python -m repro.experiments
+      worker`` at any time.
+    * ``0`` — enqueue and tail only: some external fleet, typically a
+      resident :class:`repro.service.FleetSupervisor` pool serving the
+      cache dir, drains the queue.  This is how sweeps are submitted to
+      a long-lived ``serve`` fleet instead of bringing their own
+      processes.
 
-    Both backends execute runs through the same
+    Every path executes runs through the same
     :func:`~repro.experiments.runner.execute_record`, so for a given
     grid the records and cache contents are bit-identical across
-    serial, pool and queue (the parity property the scheduler test
-    suite pins).
+    worker counts (the parity property the scheduler test suite pins).
 
     ``callback_factory`` (optional, picklable, called as
     ``factory(config)`` inside each worker) builds per-run training
@@ -243,18 +211,10 @@ def run_sweep(
     optional callable receiving each finished :class:`RunRecord`.
     ``queue_name`` overrides the grid-derived queue identity;
     ``lease_timeout`` (seconds) tunes how fast a dead worker's tasks
-    are stolen (queue scheduler only).  ``stream``/``max_resident_mb``
-    select and bound the dataset warm pass's streaming shard writer
-    (see :func:`warm_datasets`; default: auto-stream multi-shard
-    datasets).
+    are stolen; ``max_resident_mb`` bounds the dataset warm pass's
+    in-flight shards (see :func:`warm_datasets`).  The three apply to
+    queued sweeps only.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}; have {SCHEDULERS}")
-    if workers == 0 and scheduler != "queue":
-        raise ValueError(
-            "workers=0 (submit-and-tail, no local execution) only makes "
-            "sense with scheduler='queue' and a fleet serving the cache"
-        )
     # Pin each config's engine dtype to the parent's resolved policy
     # before dispatch: workers re-resolve ``dtype=None`` against *their*
     # environment, which may disagree with a parent that changed the
@@ -266,9 +226,9 @@ def run_sweep(
     workers = 0 if workers == 0 else resolve_workers(workers)
     if cache_dir is _DEFAULT_CACHE:
         cache_dir = default_cache_dir()
-    if not cache_dir and (workers > 1 or scheduler == "queue"):
+    if not cache_dir and workers != 1:
         raise ValueError(
-            "parallel and queued sweeps need a cache_dir: workers return "
+            "parallel and fleet sweeps need a cache_dir: workers return "
             "metrics only and the trained weights are published through "
             "the run cache (the queue journal also lives there)"
         )
@@ -281,7 +241,17 @@ def run_sweep(
             unique.append(config)
 
     start = time.perf_counter()
-    if scheduler == "queue":
+    if workers == 1:
+        records = []
+        for config in unique:
+            record = execute_record(
+                config, cache_dir=cache_dir, force=force, callback_factory=callback_factory
+            )
+            records.append(record)
+            if progress is not None:
+                progress(record)
+        report = SweepReport(records=records, cache_dir=cache_dir if cache_dir else None)
+    else:
         report = _run_queue_sweep(
             unique,
             workers=workers,
@@ -292,48 +262,16 @@ def run_sweep(
             progress=progress,
             queue_name=queue_name,
             lease_timeout=lease_timeout,
-            stream=stream,
             max_resident_mb=max_resident_mb,
         )
-        report.deduped = len(configs) - len(unique)
-        report.wall_seconds = time.perf_counter() - start
-        return report
-
-    tasks = [(config, cache_dir, force, callback_factory) for config in unique]
-    records = []
-    datasets_warmed = dataset_cache_hits = 0
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            record = _execute_task(task)
-            records.append(record)
-            if progress is not None:
-                progress(record)
-    else:
-        # Warm the dataset cache before dispatch: each unique dataset
-        # signature is generated exactly once (sharded, vectorized,
-        # streamed when multi-shard) and the workers memory-map the
-        # shared arrays instead of every process regenerating them.
-        datasets_warmed, dataset_cache_hits = warm_datasets(
-            unique, cache_dir, workers=workers, stream=stream, max_resident_mb=max_resident_mb
-        )
-        ctx = get_context(mp_context)
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            for record in pool.imap(_execute_task, tasks):
-                records.append(record)
-                if progress is not None:
-                    progress(record)
-    return SweepReport(
-        records=records,
-        workers=workers,
-        wall_seconds=time.perf_counter() - start,
-        cache_dir=cache_dir if cache_dir else None,
-        deduped=len(configs) - len(unique),
-        datasets_warmed=datasets_warmed,
-        dataset_cache_hits=dataset_cache_hits,
-    )
+    report.deduped = len(configs) - len(unique)
+    report.wall_seconds = time.perf_counter() - start
+    return report
 
 
-#: Seconds between journal polls while tailing a queued sweep.
+#: Seconds between journal reads while a queued sweep has a
+#: ``progress`` callback to feed, or tails a fleet; otherwise the sweep
+#: process sleeps until one of its workers exits.
 _TAIL_POLL = 0.25
 
 
@@ -347,93 +285,79 @@ def _run_queue_sweep(
     progress,
     queue_name,
     lease_timeout,
-    stream=None,
-    max_resident_mb=None,
+    max_resident_mb,
 ):
-    """The queue backend: enqueue, spawn local workers, tail the journal."""
-    from . import scheduler as sched
-
-    name = queue_name or sched.queue_name_for(unique)
-    queue = sched.TaskQueue.create(cache_dir, name, lease_timeout=lease_timeout)
+    """The queued path: enqueue, warm, spawn local workers, tail the journal."""
+    queue = sched.TaskQueue.create(
+        cache_dir, queue_name or sched.queue_name_for(unique), lease_timeout=lease_timeout
+    )
     _enqueued, resumed = queue.enqueue(unique, force=force)
     wanted = [config.cache_key() for config in unique]
-    remaining = len(wanted) - resumed
+    # Tasks already terminal right after enqueue are served from the
+    # journal: nothing runs for them in this sweep.
+    snapshot = queue.snapshot()
+    served = {key for key in wanted if snapshot[key]["status"] in sched.TERMINAL}
 
     datasets_warmed = dataset_cache_hits = 0
-    if remaining and workers > 1:
-        datasets_warmed, dataset_cache_hits = warm_datasets(
-            unique, cache_dir, workers=workers, stream=stream, max_resident_mb=max_resident_mb
-        )
-
     procs = []
-    if remaining and workers > 1:
+    if workers > 1:
+        # Each unique dataset signature is written once, before any
+        # worker starts, and the workers memory-map the shared arrays.
+        datasets_warmed, dataset_cache_hits = warm_datasets(
+            unique, cache_dir, workers=workers, max_resident_mb=max_resident_mb
+        )
         ctx = get_context(mp_context)
-        for index in range(min(workers, remaining)):
+        for _ in range(min(workers, len(wanted) - len(served))):
             proc = ctx.Process(
-                target=sched._worker_main,
-                args=((queue.root, None, callback_factory, _TAIL_POLL),),
-                daemon=False,
+                target=sched._worker_main, args=((queue.root, None, callback_factory, None),)
             )
             proc.start()
             procs.append(proc)
 
+    def record_for(key, snapshot):
+        record = queue.record_for(snapshot[key])
+        if key in served and record.ok:
+            record.from_cache = True
+        return record
+
     reported = set()
-
-    def tail(snapshot):
-        for key in wanted:
-            entry = snapshot.get(key)
-            if entry is None or key in reported or entry["status"] not in sched.TERMINAL:
-                continue
-            reported.add(key)
-            if progress is not None:
-                progress(queue.record_for(entry))
-
-    if remaining and workers == 1:
-        # One inline worker: the full queue machinery (claim, lease,
-        # journal) without a subprocess — the serial presentation of
-        # the scheduler, and the reference the parity tests compare
-        # multi-worker drains against.
-        sched.worker_loop(queue.root, callback_factory=callback_factory, wait=False)
-
     while True:
         snapshot = queue.snapshot()
-        tail(snapshot)
-        if all(
-            key in snapshot and snapshot[key]["status"] in sched.TERMINAL
-            for key in wanted
-        ):
+        finished = [key for key in wanted if snapshot[key]["status"] in sched.TERMINAL]
+        if progress is not None:
+            for key in finished:
+                if key not in reported:
+                    reported.add(key)
+                    progress(record_for(key, snapshot))
+        if len(finished) == len(wanted):
             break
-        if workers == 0:
+        alive = [proc.sentinel for proc in procs if proc.is_alive()]
+        if alive:
+            wait(alive, timeout=None if progress is None else _TAIL_POLL)
+        elif workers == 0:
             # Fleet submission: this process brought no workers on
             # purpose — a resident pool (``repro.service``) serving the
             # cache dir executes the tasks; we only tail the journal.
             time.sleep(_TAIL_POLL)
-        elif not any(proc.is_alive() for proc in procs):
-            # No local worker left (none were spawned, or every one
-            # exited/died with work still outstanding — e.g. all killed
-            # mid-lease).  Finish the drain inline so run_sweep always
-            # returns a complete report; expired leases are stolen like
-            # any other.
-            sched.worker_loop(queue.root, callback_factory=callback_factory)
         else:
-            time.sleep(_TAIL_POLL)
+            # Every local worker exited with work outstanding: leases
+            # held by a dead worker (this sweep's or an earlier one's)
+            # or by another machine.  Finish the drain inline so
+            # run_sweep always returns a complete report; expired
+            # leases are stolen like any other.
+            sched.worker_loop(queue.root, callback_factory=callback_factory)
     for proc in procs:
         proc.join()
 
-    snapshot = queue.snapshot()
-    tail(snapshot)
-    records = [queue.record_for(snapshot[key]) for key in wanted]
+    records = [record_for(key, snapshot) for key in wanted]
     stolen = sum(max(0, snapshot[key]["attempts"] - 1) for key in wanted)
-    quarantined = sum(
-        1 for key in wanted if snapshot[key]["status"] == sched.QUARANTINED
-    )
+    quarantined = sum(1 for key in wanted if snapshot[key]["status"] == sched.QUARANTINED)
     return SweepReport(
         records=records,
         workers=workers,
         cache_dir=cache_dir,
         datasets_warmed=datasets_warmed,
         dataset_cache_hits=dataset_cache_hits,
-        scheduler="queue",
         queue=queue.root,
         resumed=resumed,
         stolen=stolen,
@@ -510,10 +434,10 @@ def format_sweep(report, limit=None):
         f"{report.wall_seconds:.1f}s — {report.cache_hits} cache hit(s), "
         f"{report.n_errors} error(s)"
         + (
-            f" [queue scheduler: {report.resumed} resumed, {report.stolen} stolen"
+            f" [queue: {report.resumed} resumed, {report.stolen} stolen"
             + (f", {report.quarantined} quarantined" if report.quarantined else "")
             + "]"
-            if report.scheduler == "queue"
+            if report.queue
             else ""
         )
         + (f", {report.deduped} duplicate config(s) collapsed" if report.deduped else "")

@@ -1,8 +1,8 @@
 """The fleet supervisor: a resident worker pool across sweeps.
 
-``run_sweep(scheduler="queue")`` spawns workers, drains one grid and
-exits.  :class:`FleetSupervisor` inverts that lifecycle: the *workers*
-are the long-lived thing, and sweeps come and go around them.  Each
+A parallel ``run_sweep`` spawns workers, drains one grid and exits.
+:class:`FleetSupervisor` inverts that lifecycle: the *workers* are the
+long-lived thing, and sweeps come and go around them.  Each
 fleet worker scans every queue under the run cache round-robin —
 claiming one task per queue per pass, so a late-enqueued sweep is
 served without waiting for an earlier grid to finish — and a

@@ -1,6 +1,7 @@
 """Streaming shard writer + out-of-core loader: parity, resume, residency."""
 
 import hashlib
+import io
 import os
 import time
 from dataclasses import replace
@@ -14,7 +15,6 @@ from repro.data import (
     generate_dataset,
     load_or_generate,
     make_dataset,
-    should_stream,
     stream_dataset,
 )
 from repro.data.pipeline import DATASET_MANIFEST, dataset_cache, dataset_cache_key
@@ -57,12 +57,33 @@ class TestStreamedParity:
         assert not os.path.exists(os.path.join(entry, ".staging-meta.json"))
 
         train, test = load_or_generate(spec, cache_dir=str(tmp_path), shard_size=256)
-        eager_train, eager_test = generate_dataset(spec, shard_size=256)
-        assert np.array_equal(train.inputs, eager_train.inputs)
-        assert np.array_equal(train.targets, eager_train.targets)
-        assert np.array_equal(test.inputs, eager_test.inputs)
-        assert np.array_equal(test.targets, eager_test.targets)
+        in_ram_train, in_ram_test = generate_dataset(spec, shard_size=256)
+        assert np.array_equal(train.inputs, in_ram_train.inputs)
+        assert np.array_equal(train.targets, in_ram_train.targets)
+        assert np.array_equal(test.inputs, in_ram_test.inputs)
+        assert np.array_equal(test.targets, in_ram_test.targets)
         assert entry_digest(str(tmp_path), spec) == GOLDEN_TRAIN_SHA
+
+    def test_single_shard_entry_files_are_in_ram_bytes(self, tmp_path):
+        """A one-shard split is the v1 stream written into its memmap:
+        each cached ``.npy`` holds exactly what ``np.save`` writes for
+        the in-RAM arrays."""
+        spec = small_spec(train_size=96, test_size=96)
+        report = stream_dataset(spec, str(tmp_path))
+        assert report.total_shards == 2  # one per split at the default shard size
+        train, test = generate_dataset(spec)
+        entry = os.path.join(str(tmp_path), report.key)
+        arrays = {
+            "train_inputs.npy": train.inputs,
+            "train_targets.npy": train.targets,
+            "test_inputs.npy": test.inputs,
+            "test_targets.npy": test.targets,
+        }
+        for name, array in arrays.items():
+            expected = io.BytesIO()
+            np.save(expected, array)
+            with open(os.path.join(entry, name), "rb") as fh:
+                assert fh.read() == expected.getvalue(), name
 
     def test_streamed_pool_matches_serial(self, tmp_path):
         spec = small_spec()
@@ -83,37 +104,17 @@ class TestStreamedParity:
     def test_stream_requires_cache_dir(self):
         with pytest.raises(ValueError):
             stream_dataset(small_spec(), None)
-        with pytest.raises(ValueError):
-            load_or_generate(small_spec(), cache_dir=None, stream=True)
-
-    def test_auto_policy_streams_multi_shard_only(self):
-        assert should_stream(small_spec(), shard_size=256)
-        assert not should_stream(small_spec(train_size=100, test_size=64), shard_size=256)
 
     def test_load_or_generate_auto_routes_to_streaming(self, tmp_path, monkeypatch):
         import repro.data.pipeline as pipeline
 
         def boom(*args, **kwargs):
-            raise AssertionError("multi-shard cold entry must stream, not go eager")
+            raise AssertionError("a cold cache entry must stream, not generate in RAM")
 
         monkeypatch.setattr(pipeline, "generate_dataset", boom)
         spec = small_spec()
         train, _ = load_or_generate(spec, cache_dir=str(tmp_path), shard_size=256)
         assert len(train) == spec.train_size
-
-    def test_stream_false_forces_eager(self, tmp_path, monkeypatch):
-        import repro.data.streaming as streaming
-
-        def boom(*args, **kwargs):
-            raise AssertionError("stream=False must not stream")
-
-        monkeypatch.setattr(streaming, "stream_dataset", boom)
-        spec = small_spec()
-        train, _ = load_or_generate(
-            spec, cache_dir=str(tmp_path), shard_size=256, stream=False
-        )
-        assert len(train) == spec.train_size
-        assert entry_digest(str(tmp_path), spec) == GOLDEN_TRAIN_SHA
 
     def test_make_dataset_threads_stream(self, tmp_path):
         train, _test, spec = make_dataset(
@@ -122,7 +123,6 @@ class TestStreamedParity:
             test_size=64,
             cache_dir=str(tmp_path),
             shard_size=256,
-            stream=True,
             max_resident_mb=64,
         )
         assert dataset_cache(str(tmp_path)).complete(dataset_cache_key(spec, shard_size=256))
@@ -185,23 +185,6 @@ class TestResume:
         assert report.n_resumed >= 1
         assert report.n_resumed + report.n_generated == 4
         assert entry_digest(str(tmp_path), spec) == GOLDEN_TRAIN_SHA
-
-    def test_hit_reaps_staging_orphaned_by_an_eager_rerun(self, tmp_path):
-        spec = small_spec()
-
-        def die_early(split, index, state):
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            stream_dataset(spec, str(tmp_path), shard_size=256, progress=die_early)
-        cache = dataset_cache(str(tmp_path))
-        key = dataset_cache_key(spec, shard_size=256)
-        assert os.path.isdir(cache.staging_path(key))
-        # the documented eager override completes the entry around staging
-        load_or_generate(spec, cache_dir=str(tmp_path), shard_size=256, stream=False)
-        report = stream_dataset(spec, str(tmp_path), shard_size=256)
-        assert report.hit
-        assert not os.path.isdir(cache.staging_path(key))
 
     def test_stale_staging_for_other_layout_is_wiped(self, tmp_path):
         spec = small_spec()

@@ -32,10 +32,12 @@ class TestParser:
             assert name in ARTIFACTS
 
     def test_datagen_stream_flags(self):
-        args = build_parser().parse_args(["datagen", "--stream", "--max-resident-mb", "256"])
-        assert args.stream is True and args.max_resident_mb == 256.0
-        assert build_parser().parse_args(["datagen", "--no-stream"]).stream is False
-        assert build_parser().parse_args(["datagen"]).stream is None  # auto
+        args = build_parser().parse_args(["datagen", "--max-resident-mb", "256"])
+        assert args.max_resident_mb == 256.0
+        # there is one dataset writer, so there is nothing to choose
+        for removed in ("--stream", "--no-stream"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["datagen", removed])
 
 
 class TestDatagenCommand:
@@ -98,13 +100,6 @@ class TestDatagenCommand:
         assert "resumed in" in text  # committed this run, zero generation
         assert "train: 3 shard(s) — 3 cached" in text
 
-    def test_no_stream_reports_whole_entry_shards(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
-        out = io.StringIO()
-        assert run_datagen_command(self._args(["--no-stream"]), out=out) == 0
-        assert "train: 3 shard(s) — 3 generated" in out.getvalue()
-
     def test_json_report_carries_split_stats(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
@@ -115,7 +110,6 @@ class TestDatagenCommand:
         with open(tmp_path / "report.json") as fh:
             payload = json.load(fh)
         (dataset,) = payload["datasets"]
-        assert dataset["streamed"] is True
         by_split = {s["split"]: s for s in dataset["splits"]}
         assert by_split["train"]["shards"] == 3
         assert by_split["train"]["generated"] == [0, 1, 2]

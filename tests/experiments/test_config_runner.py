@@ -42,6 +42,12 @@ class TestConfig:
         )
         assert config.label_noise == 0.4
 
+    def test_int_for_float_field_shares_cache_key(self):
+        one = TrainConfig.from_dict(dict(TrainConfig().to_dict(), lr=1))
+        assert one.lr == 1.0 and isinstance(one.lr, float)
+        assert one.cache_key() == TrainConfig(lr=1.0).cache_key()
+        assert one.to_dict() == TrainConfig(lr=1.0).to_dict()
+
     def test_unknown_model_or_profile(self):
         with pytest.raises(KeyError):
             make_config("AlexNet", "cifar10_like", "sgd")

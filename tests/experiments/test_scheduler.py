@@ -1,12 +1,12 @@
 """Queue scheduler: parity suite + fault injection.
 
 The scheduler ships with an equivalence proof in the spirit of the
-paper's two provably-isomorphic presentations: the queue backend (1,
-2, 4 workers), the PR 1 pool and the serial loop must all produce
-identical records and bit-identical cache contents for any grid.  The
-property tests randomize small grids over that claim; the fault
-injection tests kill workers mid-lease and assert the steal/retry
-machinery converges to the same answer.
+paper's two provably-isomorphic presentations: the queue (2 and 4
+workers) and the serial loop must produce identical records and
+bit-identical cache contents for any grid.  The property tests
+randomize small grids over that claim; the fault injection tests kill
+workers mid-lease and assert the steal/retry machinery converges to
+the same answer.
 
 Multiprocessing tests use the ``fork`` start method (picklable by
 inheritance); the engine's own default stays ``spawn``.
@@ -15,6 +15,7 @@ inheritance); the engine's own default stays ``spawn``.
 import io
 import json
 import os
+import shutil
 import signal
 import time
 from multiprocessing import get_context
@@ -31,6 +32,7 @@ from repro.experiments import (
     worker_loop,
 )
 from repro.experiments.cli import build_parser, resolve_queue_root, run_worker_command
+from repro.experiments.runner import _cache_complete
 from repro.experiments.scheduler import (
     DONE,
     ERROR,
@@ -281,9 +283,9 @@ class TestParityProperty:
         base = tmp_path_factory.mktemp("parity")
         serial = run_sweep(configs, workers=1, cache_dir=str(base / "serial"))
         queued = run_sweep(
-            configs, workers=1, cache_dir=str(base / "queue"), scheduler="queue"
+            configs, workers=2, cache_dir=str(base / "queue"), mp_context="fork"
         )
-        assert queued.scheduler == "queue"
+        assert serial.queue is None and queued.queue is not None
         assert queued.n_ok == n and serial.n_ok == n
         assert_same_records(serial, queued)
         assert_same_cache_entries(str(base / "serial"), str(base / "queue"), serial.records)
@@ -291,23 +293,14 @@ class TestParityProperty:
     @pytest.mark.slow
     @pytest.mark.parametrize("workers", [2, 4])
     def test_all_presentations_bit_identical(self, tmp_path, tiny_grid, workers):
-        """Serial, pool and queue (2 and 4 workers) agree exactly."""
+        """Serial and queue (2 and 4 workers) agree exactly."""
         configs = tiny_grid(4)
         serial = run_sweep(configs, workers=1, cache_dir=str(tmp_path / "serial"))
-        pool = run_sweep(
-            configs, workers=workers, cache_dir=str(tmp_path / "pool"), mp_context="fork"
-        )
         queued = run_sweep(
-            configs,
-            workers=workers,
-            cache_dir=str(tmp_path / "queue"),
-            scheduler="queue",
-            mp_context="fork",
+            configs, workers=workers, cache_dir=str(tmp_path / "queue"), mp_context="fork"
         )
-        assert serial.n_ok == pool.n_ok == queued.n_ok == 4
-        assert_same_records(serial, pool)
+        assert serial.n_ok == queued.n_ok == 4
         assert_same_records(serial, queued)
-        assert_same_cache_entries(str(tmp_path / "serial"), str(tmp_path / "pool"), serial.records)
         assert_same_cache_entries(str(tmp_path / "serial"), str(tmp_path / "queue"), serial.records)
 
 
@@ -317,14 +310,14 @@ class TestResume:
         seen = []
         first = run_sweep(
             configs,
-            workers=1,
+            workers=2,
             cache_dir=tmp_run_cache,
-            scheduler="queue",
+            mp_context="fork",
             progress=seen.append,
         )
         assert first.resumed == 0 and first.n_ok == 3
         assert sorted(r.key for r in seen) == sorted(r.key for r in first.records)
-        again = run_sweep(configs, workers=1, cache_dir=tmp_run_cache, scheduler="queue")
+        again = run_sweep(configs, workers=2, cache_dir=tmp_run_cache, mp_context="fork")
         assert again.resumed == 3
         assert_same_records(first, again)
         # resumed records come straight from the journal: same seconds/pid
@@ -338,7 +331,7 @@ class TestResume:
         # drain exactly one task, as an interrupted sweep would have
         worker_loop(queue.root, max_tasks=1)
         assert queue.counts()[DONE] == 1
-        report = run_sweep(configs, workers=1, cache_dir=tmp_run_cache, scheduler="queue")
+        report = run_sweep(configs, workers=2, cache_dir=tmp_run_cache, mp_context="fork")
         assert report.n_ok == 3
         assert report.resumed == 1
         serial = run_sweep(
@@ -346,6 +339,27 @@ class TestResume:
         )
         assert_same_records(serial, report)
         assert_same_cache_entries(tmp_run_cache, tmp_run_cache + "-serial", report.records)
+
+    def test_resweep_repends_done_tasks_missing_from_run_cache(self, tmp_run_cache, tiny_grid):
+        """The journal never vouches for weights the run cache lost: a
+        ``done`` task whose entry was deleted is re-run, and a plain
+        repeat serves every record from the journal as a cache hit."""
+        configs = pinned(tiny_grid(2))
+        queue = TaskQueue.create(tmp_run_cache, queue_name_for(configs))
+        queue.enqueue(configs)
+        worker_loop(queue.root)
+        lost = configs[0].cache_key()
+        shutil.rmtree(os.path.join(tmp_run_cache, lost))
+        assert queue.enqueue(configs) == (1, 1)
+        assert queue.journal.read(lost)["status"] == PENDING
+
+        report = run_sweep(configs, workers=2, cache_dir=tmp_run_cache, mp_context="fork")
+        assert report.n_ok == 2 and report.resumed == 1
+        assert _cache_complete(os.path.join(tmp_run_cache, lost))
+        again = run_sweep(configs, workers=2, cache_dir=tmp_run_cache, mp_context="fork")
+        assert again.resumed == 2
+        assert again.cache_hits == 2
+        assert_same_records(report, again)
 
     def test_queue_name_is_deterministic_per_grid(self, tiny_grid):
         grid = pinned(tiny_grid(2))
@@ -359,11 +373,13 @@ class TestFaultInjection:
         retry yields a complete, serial-identical report."""
         configs = pinned(tiny_grid(2))
         name = queue_name_for(configs)
-        queue = TaskQueue.create(tmp_run_cache, name, lease_timeout=0.01)
+        queue = TaskQueue.create(tmp_run_cache, name, lease_timeout=60.0)
         queue.enqueue(configs)
-        dead = queue.claim("dead-host:1:00000000")  # claims, then "dies"
-        time.sleep(0.05)
-        report = run_sweep(configs, workers=1, cache_dir=tmp_run_cache, scheduler="queue")
+        # claimed an hour ago, then "died": long expired, while the live
+        # workers' leases stay far from expiry (no false steals)
+        an_hour_ago = TaskQueue(queue.root, clock=lambda: time.time() - 3600)
+        dead = an_hour_ago.claim("dead-host:1:00000000")
+        report = run_sweep(configs, workers=2, cache_dir=tmp_run_cache, mp_context="fork")
         assert report.n_ok == 2 and report.n_errors == 0
         assert report.stolen == 1
         assert queue.journal.read(dead["key"])["attempts"] == 2
@@ -375,7 +391,7 @@ class TestFaultInjection:
         good = tiny_grid(2)
         bad = good[0].with_overrides(dataset="no_such_dataset")
         report = run_sweep(
-            good + [bad], workers=1, cache_dir=tmp_run_cache, scheduler="queue"
+            good + [bad], workers=2, cache_dir=tmp_run_cache, mp_context="fork"
         )
         assert report.n_ok == 2 and report.n_errors == 1
         (failed,) = [r for r in report.records if not r.ok]
@@ -386,7 +402,7 @@ class TestFaultInjection:
         assert entry["status"] == ERROR and entry["attempts"] == 1
         # ...but a resume re-runs it (and fails it again, identically)
         again = run_sweep(
-            good + [bad], workers=1, cache_dir=tmp_run_cache, scheduler="queue"
+            good + [bad], workers=2, cache_dir=tmp_run_cache, mp_context="fork"
         )
         assert again.n_errors == 1
         assert again.resumed == 2
@@ -427,7 +443,6 @@ class TestFaultInjection:
             configs,
             workers=workers,
             cache_dir=tmp_run_cache,
-            scheduler="queue",
             mp_context="fork",
         )
         assert report.n_ok == 4 and report.n_errors == 0
@@ -445,13 +460,22 @@ class TestFaultInjection:
         """run_sweep never returns a partial report: if every spawned
         worker dies, the parent drains the queue inline."""
         configs = pinned(tiny_grid(2))
-        name = queue_name_for(configs)
-        queue = TaskQueue.create(tmp_run_cache, name, lease_timeout=0.05)
-        queue.enqueue(configs)
-        # leases held by workers that will never come back
-        queue.claim("ghost-a:1:0")
-        queue.claim("ghost-b:2:0")
-        report = run_sweep(configs, workers=1, cache_dir=tmp_run_cache, scheduler="queue")
+        parent = os.getpid()
+
+        def die_in_worker(config):
+            # each spawned worker dies holding the lease it just claimed
+            if os.getpid() != parent:
+                os._exit(1)
+            return []
+
+        report = run_sweep(
+            configs,
+            workers=2,
+            cache_dir=tmp_run_cache,
+            mp_context="fork",
+            callback_factory=die_in_worker,
+            lease_timeout=0.05,
+        )
         assert report.n_ok == 2
         assert report.stolen == 2
 
@@ -531,10 +555,8 @@ class TestWorkerCLI:
                 "sweep",
                 "--profile",
                 "smoke",
-                "--scheduler",
-                "queue",
                 "--workers",
-                "1",
+                "2",
                 "--models",
                 "ResNet20-fast",
                 "--methods",
@@ -551,6 +573,6 @@ class TestWorkerCLI:
         assert run_sweep_command(args, out=out) == 0
         with open(tmp_path / "report.json") as fh:
             payload = json.load(fh)
-        assert payload["scheduler"] == "queue"
+        assert payload["queue"].startswith(os.path.join(tmp_run_cache, "queue", "grid-"))
         assert payload["n_ok"] == 2
-        assert "queue scheduler" in out.getvalue()
+        assert "[queue: 0 resumed, 0 stolen]" in out.getvalue()

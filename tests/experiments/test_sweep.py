@@ -291,6 +291,42 @@ class TestSweepCLI:
         assert run_sweep_command(args, out=out) == 0
         assert "2 runs" in out.getvalue()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", "3"),
+            ("epochs", True),  # a bool is not an int
+            ("augment", "yes"),
+            ("lr", "0.1"),
+            ("train_size", 96.0),
+            ("method", "heroo"),
+            ("penalty", "nrm"),
+            ("perturbation", "layerwise"),
+            ("label_noise", 1.7),
+            ("label_noise", -0.1),
+            ("label_nosie", 0.2),  # unknown field
+        ],
+    )
+    def test_invalid_spec_rejected_before_enqueue(self, tmp_path, monkeypatch, tiny_grid,
+                                                   field, value):
+        from repro.experiments import TrainConfig
+        from repro.experiments.cli import main
+        from repro.messages import SchemaError
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        good = tiny_grid(1)[0].to_dict()
+        bad = dict(good, **{field: value})
+        with pytest.raises(SchemaError, match=field):
+            TrainConfig.from_dict(bad)
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(json.dumps([good, bad]))
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--spec", str(spec_path), "--workers", "2"])
+        assert exited.value.code not in (0, None)
+        assert field in str(exited.value.code)
+        assert not cache.exists()  # no queue, no run, no dataset
+
     def test_grid_helper_cross_product(self):
         configs = make_grid(
             ["ResNet20-fast"], ["cifar10_like"], ["sgd", "hero"], seeds=(0, 1), profile="smoke"

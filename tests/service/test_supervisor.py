@@ -208,14 +208,12 @@ class TestFleetDrill:
             first = run_sweep(
                 pinned(tiny_grid(2)),
                 workers=0,
-                scheduler="queue",
                 cache_dir=tmp_run_cache,
             )
             assert first.n_ok == 2 and first.workers == 0
             second = run_sweep(
                 pinned(tiny_grid(3, method="grad_l1")),
                 workers=0,
-                scheduler="queue",
                 cache_dir=tmp_run_cache,
             )
             assert second.n_ok == 3
@@ -230,9 +228,9 @@ class TestFleetDrill:
             tmp_run_cache, tmp_run_cache + "-serial", serial.records
         )
 
-    def test_workers_zero_requires_queue_scheduler(self, tmp_run_cache, tiny_grid):
-        with pytest.raises(ValueError, match="workers=0"):
-            run_sweep(pinned(tiny_grid(1)), workers=0, cache_dir=tmp_run_cache)
+    def test_workers_zero_requires_cache_dir(self, tiny_grid):
+        with pytest.raises(ValueError, match="cache_dir"):
+            run_sweep(pinned(tiny_grid(1)), workers=0, cache_dir=None)
 
     def test_serve_until_drained_bounded_run(self, tmp_run_cache, tiny_grid):
         """serve(until_drained=True) executes pending work, then exits
