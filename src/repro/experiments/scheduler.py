@@ -7,18 +7,19 @@ task queue** shared through the run-cache directory, so a straggler
 run never idles the other workers, a crashed sweep keeps its
 bookkeeping, and any process that can see the cache may join:
 
-* **Journal** — one :class:`repro.io.JsonJournal` record per config
+* **Journal** — one :class:`repro.io.LeaseJournal` record per config
   signature under ``<cache>/queue/<name>/journal/``, transitioned
-  ``pending → leased → done/error`` via locked read-modify-write.
+  ``pending → leased → done/error`` (the batch server's protocol too).
   The journal *is* the sweep state: any process that can see the
   cache directory can enqueue, work, tail or resume.
 * **Leases** — a claim stamps the record with a worker identity and
-  an expiry.  A worker that dies mid-task simply stops renewing its
+  the time.  A worker that dies mid-task simply stops renewing its
   claim; once the lease expires any other worker **steals** the task
   and re-runs it (results are deterministic per config, so a re-run
   is bit-identical).  A task whose lease expires
   :data:`DEFAULT_MAX_ATTEMPTS` times is marked ``quarantined`` instead
-  of looping forever — the poison-task backstop.
+  of looping forever — the poison-task backstop.  Claims list the
+  open index ``journal/open/``, so idle ones read no finished task.
 * **Work-stealing workers** — :func:`worker_loop` is a claim → train
   → record loop any number of processes can run concurrently, on any
   machine sharing the cache directory (``python -m repro.experiments
@@ -43,12 +44,19 @@ import dataclasses
 import hashlib
 import json
 import os
-import socket
 import time
-import uuid
 
 from ..core.trainer import Callback
-from ..io import JsonJournal, atomic_write_json, file_lock
+from ..io import (
+    DONE,
+    ERROR,
+    LEASED,
+    PENDING,
+    LeaseJournal,
+    atomic_write_json,
+    file_lock,
+    worker_identity,
+)
 from ..messages import JournalEntryV2, MessageError
 from ..messages import parse as parse_message
 from .config import TrainConfig
@@ -72,12 +80,11 @@ ENTRY_FIELDS = ("version",) + tuple(
     field.name for field in dataclasses.fields(JournalEntryV2)
 )
 
-#: Task lifecycle states.  ``quarantined`` is terminal like ``done``
-#: and ``error`` but *sticky*: a plain re-enqueue re-runs errors,
-#: while a quarantined task stays parked until forced — it has already
-#: eaten ``max_attempts`` workers (or kept erroring under the fleet
-#: supervisor's retry patrol) and must not poison the pool again.
-PENDING, LEASED, DONE, ERROR = "pending", "leased", "done", "error"
+#: The queue's own terminal state.  ``quarantined`` is terminal like
+#: ``done`` and ``error`` but *sticky*: a plain re-enqueue re-runs
+#: errors, while a quarantined task stays parked until forced — it has
+#: already eaten ``max_attempts`` workers (or kept erroring under the
+#: fleet supervisor's retry patrol) and must not poison the pool again.
 QUARANTINED = "quarantined"
 TERMINAL = (DONE, ERROR, QUARANTINED)
 
@@ -107,15 +114,6 @@ def queue_name_for(configs):
 def queue_root(cache_dir, name):
     """Directory queue ``name`` occupies under the run cache."""
     return os.path.join(os.path.abspath(cache_dir), QUEUE_SUBDIR, name)
-
-
-def worker_identity():
-    """A globally unique worker id: ``host:pid:nonce``.
-
-    The nonce guards against pid reuse — a recycled pid on the same
-    host must not look like the original lease holder.
-    """
-    return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
 
 
 def new_entry(config, force=False, now=0.0):
@@ -161,29 +159,22 @@ def parse_entry(payload, key=None):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _canonical_entry(entry):
-    """Serialize-at-write validation: canonical v2 form or a typed error."""
-    return JournalEntryV2.from_dict(entry).to_dict()
-
-
-class _ClaimLost(Exception):
-    """Internal: another worker transitioned the entry first."""
-
-
 class TaskQueue:
     """A durable sweep queue: journal + manifest under one directory.
 
-    The journal holds one entry per config signature; ``manifest.json``
-    records the order of first appearance (reports present records in
-    grid order, not completion order) and the queue-wide settings
-    (lease timeout, max attempts).  Everything is plain JSON under the
-    run cache, so ``TaskQueue(root)`` on any machine mounting the same
-    directory sees the same queue.
+    The journal (a :class:`repro.io.LeaseJournal`) holds one entry per
+    config signature; ``manifest.json`` records the order of first
+    appearance (claims follow it, reports present records in it) and
+    ``meta.json`` the queue-wide settings (lease timeout, max attempts).
+    Everything is plain JSON under the run cache, so ``TaskQueue(root)``
+    on any machine mounting the same directory sees the same queue.
     """
 
     def __init__(self, root, clock=time.time):
         self.root = os.path.abspath(root)
-        self.journal = JsonJournal(os.path.join(self.root, "journal"))
+        self.journal = LeaseJournal(
+            os.path.join(self.root, "journal"), clock=clock, parse=parse_entry
+        )
         self.clock = clock
 
     # -- creation / metadata -------------------------------------------
@@ -285,6 +276,9 @@ class TaskQueue:
         persisted as v2, counted under its natural outcome rather than
         vanished), while an entry this build cannot read raises a
         typed :class:`repro.messages.VersionError` naming the key.
+
+        On a journal from before the open index, the first task turned
+        ``pending`` builds the whole index, kept entries included.
         """
         now = self.clock()
         enqueued = resumed = 0
@@ -336,85 +330,32 @@ class TaskQueue:
                 atomic_write_json(path, {"version": JOURNAL_VERSION, "keys": merged})
 
     # -- claiming ------------------------------------------------------
-    def _claimable(self, entry, now, lease_timeout):
-        """Runnable right now, under the queue's *current* lease timeout.
-
-        Expiry is computed from ``leased_at`` + the timeout in force at
-        claim-check time, not from the stamped ``lease_expires``: that
-        is what lets an operator resume a dead sweep with a shorter
-        ``--lease-timeout`` and have leases orphaned under the old,
-        generous timeout become stealable immediately.
-        """
-        if entry is None or entry["status"] in TERMINAL:
-            return False
-        if entry["status"] == PENDING:
-            return True
-        leased_at = entry.get("leased_at")
-        return leased_at is not None and leased_at + lease_timeout <= now
-
     def claim(self, worker):
         """Lease the first runnable task; returns its entry or ``None``.
 
-        Scans the manifest in order, checking each entry with a
-        lock-free read and only taking the per-key lock for an entry
-        that looks runnable — under the lock the state is re-checked,
-        so two workers racing for the same task serialize and the
-        loser moves on to the next one.  Stealing an expired lease
+        :meth:`repro.io.LeaseJournal.claim` under the queue's current
+        settings, over the open index in manifest (grid) order, so an
+        idle claim reads no entry at all.  Stealing an expired lease
         whose attempts are exhausted marks the task ``quarantined``
         (with a synthetic record naming the last worker that died on
         it) rather than claiming it — the poison backstop.
         """
         meta = self.meta
-        lease_timeout = meta["lease_timeout"]
         max_attempts = meta["max_attempts"]
-        for key in self.keys():
-            now = self.clock()
-            peeked = self.journal.read(key)
-            peeked = None if peeked is None else parse_entry(peeked, key=key)
-            if not self._claimable(peeked, now, lease_timeout):
-                continue
 
-            def mutate(current, key=key, now=now):
-                entry = None if current is None else parse_entry(current, key=key)
-                if not self._claimable(entry, now, lease_timeout):
-                    raise _ClaimLost(key)
-                if entry["attempts"] >= max_attempts:
-                    lost = dict(entry)
-                    lost["status"] = QUARANTINED
-                    lost["worker"] = None
-                    lost["leased_at"] = None
-                    lost["lease_expires"] = None
-                    lost["finished_at"] = now
-                    lost["record"] = record_to_dict(
-                        RunRecord(
-                            key=entry["key"],
-                            config=None,
-                            status="error",
-                            error=(
-                                f"lease expired {entry['attempts']} time(s) "
-                                f"(last worker {entry['worker']!r}); "
-                                f"max_attempts={max_attempts} exhausted"
-                            ),
-                        ),
-                        include_config=False,
-                    )
-                    return _canonical_entry(lost)
-                leased = dict(entry)
-                leased["status"] = LEASED
-                leased["attempts"] = entry["attempts"] + 1
-                leased["worker"] = worker
-                leased["leased_at"] = now
-                leased["lease_expires"] = now + lease_timeout
-                leased["started_at"] = now
-                return _canonical_entry(leased)
+        def quarantine(entry):
+            error = (f"lease expired {entry['attempts']} time(s) (last worker "
+                     f"{entry['worker']!r}); max_attempts={max_attempts} exhausted")
+            failure = RunRecord(key=entry["key"], config=None, status="error", error=error)
+            return {"status": QUARANTINED, "record": record_to_dict(failure, include_config=False)}
 
-            try:
-                entry = self.journal.update(key, mutate)
-            except _ClaimLost:
-                continue
-            if entry["status"] == LEASED and entry["worker"] == worker:
-                return entry
-        return None
+        return self.journal.claim(worker, meta["lease_timeout"], max_attempts, quarantine,
+                                  order=self._in_grid_order)
+
+    def _in_grid_order(self, keys):
+        """``keys`` in manifest order (any not yet in the manifest last)."""
+        rank = {key: index for index, key in enumerate(self.keys())}
+        return sorted(keys, key=lambda key: (rank.get(key, len(rank)), key))
 
     def renew(self, key, worker):
         """Extend a live lease; returns False if the lease was lost.
@@ -423,22 +364,7 @@ class TaskQueue:
         natural heartbeat) so a generous lease timeout isn't needed to
         cover the whole task — only the gap between heartbeats.
         """
-        meta = self.meta
-
-        def mutate(current):
-            entry = None if current is None else parse_entry(current, key=key)
-            if entry is None or entry["status"] != LEASED or entry["worker"] != worker:
-                raise _ClaimLost(key)
-            renewed = dict(entry)
-            renewed["leased_at"] = self.clock()
-            renewed["lease_expires"] = renewed["leased_at"] + meta["lease_timeout"]
-            return _canonical_entry(renewed)
-
-        try:
-            self.journal.update(key, mutate)
-        except _ClaimLost:
-            return False
-        return True
+        return self.journal.renew(key, worker, self.meta["lease_timeout"])
 
     # -- completion ----------------------------------------------------
     def resolve(self, key, worker, record):
@@ -448,25 +374,9 @@ class TaskQueue:
         a worker that stalled past its lease (its task was stolen and
         possibly re-completed) must not clobber the thief's record.
         """
-
-        def mutate(current):
-            entry = None if current is None else parse_entry(current, key=key)
-            if entry is None or entry["status"] != LEASED or entry["worker"] != worker:
-                raise _ClaimLost(key)
-            finished = dict(entry)
-            finished["status"] = DONE if record.ok else ERROR
-            finished["worker"] = None
-            finished["leased_at"] = None
-            finished["lease_expires"] = None
-            finished["finished_at"] = self.clock()
-            finished["record"] = record_to_dict(record, include_config=False)
-            return _canonical_entry(finished)
-
-        try:
-            self.journal.update(key, mutate)
-        except _ClaimLost:
-            return False
-        return True
+        outcome = {"status": DONE if record.ok else ERROR,
+                   "record": record_to_dict(record, include_config=False)}
+        return self.journal.resolve(key, worker, outcome) is not None
 
     # -- supervision ---------------------------------------------------
     def retry_errors(self):
@@ -490,28 +400,23 @@ class TaskQueue:
         for key, entry in self.snapshot().items():
             if entry["status"] != ERROR:
                 continue
+            state = {}
 
-            def mutate(current, key=key):
+            def mutate(current, key=key, state=state):
                 entry = None if current is None else parse_entry(current, key=key)
                 if entry is None or entry["status"] != ERROR:
-                    raise _ClaimLost(key)  # someone else moved it first
-                moved = dict(entry)
+                    return current  # someone else moved it first
                 if entry["attempts"] >= max_attempts:
-                    moved["status"] = QUARANTINED
-                else:
-                    moved["status"] = PENDING
-                    moved["worker"] = None
-                    moved["leased_at"] = None
-                    moved["lease_expires"] = None
-                    moved["finished_at"] = None
-                    moved["record"] = None
-                return _canonical_entry(moved)
+                    state["outcome"] = QUARANTINED
+                    return parse_entry(dict(entry, status=QUARANTINED), key=key)
+                state["outcome"] = PENDING
+                pended = dict(entry, status=PENDING, worker=None, leased_at=None,
+                              lease_expires=None, finished_at=None, record=None)
+                return parse_entry(pended, key=key)
 
-            try:
-                moved = self.journal.update(key, mutate)
-            except _ClaimLost:
-                continue
-            (quarantined if moved["status"] == QUARANTINED else retried).append(key)
+            self.journal.update(key, mutate)
+            if state:
+                (quarantined if state["outcome"] == QUARANTINED else retried).append(key)
         return retried, quarantined
 
     # -- observation ---------------------------------------------------
@@ -528,13 +433,9 @@ class TaskQueue:
             counts["stolen"] += max(0, entry["attempts"] - 1)
         return counts
 
-    def drained(self, snapshot=None):
-        """True when every task is terminal (done/error/quarantined)."""
-        snapshot = self.snapshot() if snapshot is None else snapshot
-        keys = self.keys()
-        return bool(keys) and all(
-            key in snapshot and snapshot[key]["status"] in TERMINAL for key in keys
-        )
+    def drained(self):
+        """True once tasks were enqueued and none is open (reads the open index only)."""
+        return os.path.exists(self._manifest_path()) and self.journal.drained()
 
     def record_for(self, entry):
         """Rebuild the :class:`RunRecord` a terminal ``entry`` stores."""

@@ -12,18 +12,20 @@ never observe a half-written file), :class:`DirectoryCache` — a
 content-addressed directory store with atomic publication and per-key
 locks that backs both the experiment run cache
 (``.cache/runs/<key>/``) and the dataset cache
-(``.cache/runs/datasets/<key>/``) — and :class:`JsonJournal`, a
-directory of per-key JSON records with locked read-modify-write
-transitions that backs the sweep scheduler's durable task queue
-(``.cache/runs/queue/<name>/journal/``).
+(``.cache/runs/datasets/<key>/``) — :class:`JsonJournal`, a directory
+of per-key JSON records with locked read-modify-write transitions, and
+:class:`LeaseJournal`, the lease protocol under both the sweep task
+queue (``queue/<name>/journal/``) and the batch server (``batches/``).
 """
 
 import contextlib
 import json
 import os
 import shutil
+import socket
 import tempfile
 import time
+import uuid
 
 import numpy as np
 
@@ -250,9 +252,10 @@ class JsonJournal:
       across read → mutate → write, so two processes racing to claim
       the same record serialize and the loser sees the winner's write.
 
-    This is the persistence layer under the sweep scheduler's task
-    queue (:mod:`repro.experiments.scheduler`): one record per task,
-    mutated through ``pending → leased → done/error``.
+    :class:`LeaseJournal` adds the lease protocol on top; the streaming
+    dataset writer's shard journal (:mod:`repro.data.streaming`) uses
+    this class directly — its shards are owned by the dispatch plan,
+    not claimed.
     """
 
     def __init__(self, root):
@@ -300,8 +303,211 @@ class JsonJournal:
             current = self.read(key)
             record = mutate(current)
             if record is not current:
-                atomic_write_json(self.path(key), record)
+                self._write(key, current, record)
         return record
+
+    def _write(self, key, current, record):
+        """Replace ``current`` by ``record`` (called under the key's lock)."""
+        atomic_write_json(self.path(key), record)
+
+
+#: :class:`LeaseJournal` record states.  Only the ``OPEN`` ones are
+#: indexed and claimable; any other status (a caller's own too) is terminal.
+PENDING, LEASED, DONE, ERROR = "pending", "leased", "done", "error"
+OPEN = (PENDING, LEASED)
+
+
+def worker_identity():
+    """A globally unique worker id: ``host:pid:nonce`` (the nonce guards pid reuse)."""
+    return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
+
+
+class _ClaimLost(Exception):
+    """Internal: another process transitioned the record first."""
+
+
+def _claimable(record, now, lease_timeout):
+    """Pending, or leased at least ``lease_timeout`` (the one in force now) ago.
+
+    The stamped ``lease_expires`` is informational, so shortening the
+    timeout frees leases stamped under a longer one at once.
+    """
+    if record is None or record["status"] not in OPEN:
+        return False
+    leased_at = record["leased_at"]
+    return record["status"] == PENDING or (leased_at is not None and leased_at + lease_timeout <= now)
+
+
+def _closed(record, now, outcome):
+    """``record`` finished with ``outcome`` (its terminal fields) at ``now``."""
+    return dict(record, worker=None, leased_at=None, lease_expires=None, finished_at=now, **outcome)
+
+
+class LeaseJournal(JsonJournal):
+    """A :class:`JsonJournal` of work claimed under leases, with an open-work index.
+
+    Records carry ``status``, ``attempts``, ``worker``, ``leased_at``,
+    ``lease_expires`` and ``finished_at``; the rest is the caller's.
+    :meth:`update` is also the add: under the key's lock it writes the
+    marker ``open/<key>`` before a record turns pending or leased and
+    unlinks it after the record turns terminal, so :meth:`claim` and
+    :meth:`drained` read only open records.  A crash in between leaves
+    a marker with no record (skipped) or on a terminal one (dropped
+    under the key's lock, since any process may re-add the key).
+    ``parse(record, key)``, if given, sees every record read or written.
+    """
+
+    def __init__(self, root, clock=time.time, parse=None):
+        super().__init__(root)
+        self.open_dir = os.path.join(self.root, "open")
+        self.clock = clock
+        self.parse = parse
+
+    def _load(self, key, record):
+        if record is None or self.parse is None:
+            return record
+        return self.parse(record, key)
+
+    # -- the open-work index ---------------------------------------------
+    def _write(self, key, current, record):
+        opens = record["status"] in OPEN
+        if opens and (current is None or current["status"] not in OPEN):
+            self._mark(key)
+        super()._write(key, current, record)
+        if not opens:
+            self._unmark(key)
+
+    def _mark(self, key):
+        self._index()
+        open(os.path.join(self.open_dir, key), "w").close()
+
+    def _unmark(self, key):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(self.open_dir, key))
+
+    def _markers(self):
+        try:
+            return os.listdir(self.open_dir)
+        except FileNotFoundError:
+            self._index()
+            return os.listdir(self.open_dir)
+
+    def _drop(self, key):
+        """Unlink ``key``'s marker unless its record is open (under the key lock)."""
+        with file_lock(self.lock_path(key)):
+            record = self.read(key)
+            if record is None or record["status"] not in OPEN:
+                self._unmark(key)
+
+    def _index(self):
+        """Build a missing ``open/`` (a journal from before it) from a full read.
+
+        Built aside and renamed into place, so nobody lists half an
+        index.  Racing builders need no lock: a record opened after a
+        builder's read marks into whichever index exists by then, and a
+        rename onto a non-empty directory fails.  True if this call built it.
+        """
+        if os.path.isdir(self.open_dir):
+            return False
+        os.makedirs(self.root, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix="open.tmp.", dir=self.root)
+        try:
+            for key, record in self.snapshot().items():
+                if self._load(key, record)["status"] in OPEN:
+                    open(os.path.join(staging, key), "w").close()
+            os.rename(staging, self.open_dir)
+            return True
+        except OSError:
+            if os.path.isdir(self.open_dir):
+                return False  # another builder published first
+            raise
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+
+    def reconcile(self):
+        """Build a missing index, or drop every marker whose record is not open."""
+        if not self._index():
+            for key in self._markers():
+                self._drop(key)
+
+    def _open(self, order=sorted):
+        """``(key, record)`` per indexed record still open, in ``order``."""
+        keys = self._markers()
+        for key in order(keys) if keys else ():
+            record = self._load(key, self.read(key))
+            if record is None:
+                continue
+            if record["status"] not in OPEN:
+                self._drop(key)
+                continue
+            yield key, record
+
+    # -- the lease protocol ----------------------------------------------
+    def claim(self, worker, lease_timeout, max_attempts, exhaust, order=sorted):
+        """Lease the first claimable open record to ``worker``; it, or ``None``.
+
+        Open records are peeked lock-free in ``order(keys)``; one that
+        looks claimable is re-checked under its key's lock, so racing
+        claimers serialize.  At ``max_attempts`` the record is closed
+        with ``exhaust(record)``'s outcome fields instead, and the scan
+        goes on.  A ``started_at`` field is stamped with the lease.
+        """
+        for key, peek in self._open(order):
+            if not _claimable(peek, self.clock(), lease_timeout):
+                continue
+
+            def mutate(current, key=key):
+                record = self._load(key, current)
+                now = self.clock()
+                if not _claimable(record, now, lease_timeout):
+                    raise _ClaimLost(key)
+                if record["attempts"] >= max_attempts:
+                    return self._load(key, _closed(record, now, exhaust(record)))
+                leased = dict(record, status=LEASED, attempts=record["attempts"] + 1,
+                              worker=worker, leased_at=now, lease_expires=now + lease_timeout)
+                if "started_at" in leased:
+                    leased["started_at"] = now
+                return self._load(key, leased)
+
+            try:
+                record = self.update(key, mutate)
+            except _ClaimLost:
+                continue
+            if record["status"] == LEASED:
+                return record
+        return None
+
+    def _held(self, key, worker, change):
+        """Apply ``change(record, now)`` if ``worker`` holds the lease; else ``None``."""
+
+        def mutate(current):
+            record = self._load(key, current)
+            if record is None or record["status"] != LEASED or record["worker"] != worker:
+                raise _ClaimLost(key)
+            return self._load(key, change(record, self.clock()))
+
+        try:
+            return self.update(key, mutate)
+        except _ClaimLost:
+            return None
+
+    def renew(self, key, worker, lease_timeout):
+        """Restamp ``worker``'s lease on ``key``; False if the lease was lost."""
+        renewed = self._held(key, worker, lambda record, now: dict(
+            record, leased_at=now, lease_expires=now + lease_timeout))
+        return renewed is not None
+
+    def resolve(self, key, worker, outcome):
+        """Close ``worker``'s lease with ``outcome`` (terminal fields); the record.
+
+        ``None`` means the lease was lost — another worker took the
+        work over — and this result must not be acted on.
+        """
+        return self._held(key, worker, lambda record, now: _closed(record, now, outcome))
+
+    def drained(self):
+        """True when no record is pending or leased (reads open records only)."""
+        return next(self._open(), None) is None
 
 
 def save_checkpoint(path, model, metadata=None, optimizer=None, history=None):

@@ -11,8 +11,8 @@ filesystem) rendezvous in one server directory:
         served/<id>.npz      inputs of answered requests, moved by rename
         responses/<id>.npy   outputs (atomic, last-writer-wins)
         responses/<id>.error.json   terminal failure markers
-        batches/<key>.json   the batch journal (lease state machine)
-        batches/open/<key>   open-batch index: an empty marker per
+        batches/<key>.json   the batch journal (a repro.io.LeaseJournal)
+        batches/open/<key>   its open index: an empty marker per
                              pending or leased batch
         service/heartbeats/  worker + batcher liveness (repro.service)
         stats.json           serving.server_stats snapshot
@@ -23,15 +23,14 @@ when it holds ``max_batch`` requests *or* the oldest admitted request
 has waited ``max_delay`` — whichever comes first.  A flushed batch is
 one journal record naming its request ids.
 
-**Dispatch and fault model.** Workers claim batches through the same
-lease discipline as the sweep scheduler: claim moves ``pending`` →
-``leased`` with an expiry; a SIGKILLed worker's lease lapses and a
-survivor re-claims and re-serves the batch.  Responses are written via
-atomic rename, and model outputs are deterministic, so duplicated
-serves converge on identical bytes — every client gets exactly one
-correct response.  A batch whose lease expires ``max_attempts`` times
-is marked ``error`` and its requests get error markers instead of
-hanging their clients.
+**Dispatch and fault model.** Workers claim batches through
+:class:`repro.io.LeaseJournal`, as sweep workers claim tasks: a
+SIGKILLed worker's lease lapses and a survivor re-serves the batch.
+Responses are written via atomic rename, and model outputs are
+deterministic, so duplicated serves converge on identical bytes —
+every client gets exactly one correct response.  A batch whose lease
+expires ``max_attempts`` times, or whose forward raised in the worker
+still holding it, gets error markers instead of hanging its clients.
 
 **Determinism contract.** A worker runs one forward *per request*
 inside its claimed batch (BLAS kernels are not bit-stable across batch
@@ -58,17 +57,20 @@ import uuid
 
 import numpy as np
 
-from ..io import JsonJournal, atomic_write_json, read_json
+from ..io import (
+    DONE,
+    ERROR,
+    LEASED,
+    PENDING,
+    LeaseJournal,
+    atomic_write_json,
+    read_json,
+    worker_identity,
+)
 from ..messages import BatchRecordV1, ServerStatsV1, parse
 from ..service import Heartbeat
 from ..tensor import Tensor, no_grad
 from .artifact import default_cache_dir, load_artifact
-
-#: Journal states (mirrors the sweep scheduler's lease machine).
-PENDING = "pending"
-LEASED = "leased"
-DONE = "done"
-ERROR = "error"
 
 DEFAULT_MAX_BATCH = 8
 DEFAULT_MAX_DELAY = 0.01
@@ -90,11 +92,6 @@ def server_root(name, cache_dir=None):
     """Directory one named server's state lives under."""
     root = cache_dir if cache_dir is not None else default_cache_dir()
     return os.path.join(os.path.abspath(root), "serving", name)
-
-
-def worker_identity(prefix="serve"):
-    """Globally unique worker id (host, pid, nonce — like the scheduler's)."""
-    return f"{prefix}:{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:6]}"
 
 
 # ----------------------------------------------------------------------
@@ -233,31 +230,16 @@ class ServingClient:
 
 
 # ----------------------------------------------------------------------
-# Batch journal: the lease state machine
+# Batch journal: batch records on the shared lease journal
 # ----------------------------------------------------------------------
-class _ClaimLost(Exception):
-    """Another worker won the locked re-check; nothing was written."""
-
-
 class BatchJournal:
-    """Durable batch records claimed under the scheduler's lease discipline.
+    """Batch records in a :class:`repro.io.LeaseJournal` under ``batches/``.
 
-    ``pending`` → ``leased`` (claim stamps worker + expiry) → ``done``.
-    A lapsed lease makes the record claimable again (``attempts`` grows);
-    ``resolve`` only lands while the caller still holds the lease, so a
-    stolen batch's original worker cannot clobber the thief's result.
-    ``max_attempts`` expiries turn the record ``error`` — the poison
-    backstop.
-
-    The open-batch index ``batches/open/`` holds an empty marker per
-    pending or leased batch, so :meth:`claim` and :meth:`drained` list
-    in-flight batches instead of every record ever written.  ``enqueue``
-    writes the marker before the record; ``resolve`` and the backstop
-    unlink it after the record turns ``done`` or ``error``.  A crash
-    between the two steps leaves a marker with no record (skipped) or
-    one on a finished record (dropped by the next claim), and
-    :meth:`reconcile` rebuilds the index from a full snapshot at
-    batcher start.
+    The journal runs the lease protocol and the open-batch index
+    (``batches/open/``); this class adds what is serving's own: the
+    ``serving.batch_record`` shape, oldest-key-first claims, and the
+    poison backstop — ``max_attempts`` expiries turn the batch
+    ``error`` and fail its requests.
     """
 
     def __init__(
@@ -267,8 +249,7 @@ class BatchJournal:
         max_attempts=DEFAULT_MAX_ATTEMPTS,
         clock=time.time,
     ):
-        self.journal = JsonJournal(os.path.join(root, "batches"))
-        self.open_dir = os.path.join(self.journal.root, "open")
+        self.journal = LeaseJournal(os.path.join(root, "batches"), clock=clock)
         self.lease_timeout = lease_timeout
         self.max_attempts = max_attempts
         self.clock = clock
@@ -288,146 +269,42 @@ class BatchJournal:
             finished_at=None,
             error=None,
         ).to_dict()
-
-        def mutate(current):
-            if current is not None:
-                return current
-            self._mark(key)
-            return record
-
-        return self.journal.update(key, mutate)
-
-    def _mark(self, key):
-        os.makedirs(self.open_dir, exist_ok=True)
-        with open(os.path.join(self.open_dir, key), "w"):
-            pass
-
-    def _unmark(self, key):
-        try:
-            os.remove(os.path.join(self.open_dir, key))
-        except FileNotFoundError:
-            pass
-
-    def _markers(self):
-        try:
-            return sorted(os.listdir(self.open_dir))
-        except FileNotFoundError:
-            return []
-
-    def _open_records(self):
-        """``(key, record)`` per indexed batch still open, oldest key first.
-
-        A marker on a finished record is dropped (its resolve died
-        before the unlink); one with no record yet is skipped, since
-        ``enqueue`` writes the marker first.
-        """
-        for key in self._markers():
-            record = self.journal.read(key)
-            if record is None:
-                continue
-            if record["status"] in (DONE, ERROR):
-                self._unmark(key)
-                continue
-            yield key, record
-
-    def reconcile(self, records):
-        """Make the open index match ``records``, a full journal snapshot.
-
-        Marks pending or leased records that lack a marker (a journal
-        written before the index existed) and drops markers whose record
-        is finished or missing.  Only the batcher enqueues, so this is
-        safe while it starts up; a record that finishes meanwhile leaves
-        a stale marker the next claim drops.
-        """
-        want = {key for key, record in records.items() if record["status"] in (PENDING, LEASED)}
-        have = set(self._markers())
-        for key in want - have:
-            self._mark(key)
-        for key in have - want:
-            self._unmark(key)
-
-    def _claimable(self, record, now):
-        if record is None:
-            return False
-        if record["status"] == PENDING:
-            return True
-        return (
-            record["status"] == LEASED
-            and record["lease_expires"] is not None
-            and record["lease_expires"] <= now
-        )
+        return self.journal.update(key, lambda current: record if current is None else current)
 
     def claim(self, worker):
         """Claim the oldest claimable batch for ``worker`` (or ``None``).
 
-        Scans the open-batch index only.  Lock-free peek first, locked
-        re-check second — losing the race for one key moves on to the
-        next, exactly like ``TaskQueue``.  A record at its attempts
-        ceiling is marked ``error`` instead of claimed, and the scan
-        continues.
+        Lists the open-batch index only; an idle claim reads no record.
+        A batch at its attempts ceiling is marked ``error`` and its
+        requests failed instead, and the scan continues.
         """
-        now = self.clock()
-        for key, peek in self._open_records():
-            if not self._claimable(peek, now):
-                continue
+        return self.journal.claim(worker, self.lease_timeout, self.max_attempts, self._exhaust)
 
-            def mutate(current):
-                moment = self.clock()
-                if not self._claimable(current, moment):
-                    raise _ClaimLost()
-                if current["attempts"] >= self.max_attempts:
-                    return dict(
-                        current,
-                        status=ERROR,
-                        worker=None,
-                        leased_at=None,
-                        lease_expires=None,
-                        finished_at=moment,
-                        error=f"lease expired {current['attempts']} times",
-                    )
-                return dict(
-                    current,
-                    status=LEASED,
-                    attempts=current["attempts"] + 1,
-                    worker=worker,
-                    leased_at=moment,
-                    lease_expires=moment + self.lease_timeout,
-                )
+    def _exhaust(self, record):
+        error = f"lease expired {record['attempts']} times"
+        self._fail(record["requests"], error)
+        return {"status": ERROR, "error": error}
 
-            try:
-                record = self.journal.update(key, mutate)
-            except _ClaimLost:
-                continue
-            if record["status"] == ERROR:
-                # Poison backstop fired — unhang the clients, keep scanning.
-                store = RequestStore(os.path.dirname(self.journal.root))
-                for request_id in record["requests"]:
-                    store.fail(request_id, record["error"])
-                store.retire(record["requests"])
-                self._unmark(key)
-                continue
-            return record
-        return None
+    def _fail(self, request_ids, error):
+        """Unhang a failed batch's clients: an error marker each, inputs retired."""
+        store = RequestStore(os.path.dirname(self.journal.root))
+        for request_id in request_ids:
+            store.fail(request_id, error)
+        store.retire(request_ids)
 
     def resolve(self, key, worker, error=None):
-        """Finish a claimed batch; no-op if the lease was lost meanwhile."""
+        """Finish a claimed batch; returns its record, unchanged if the lease was lost.
 
-        def mutate(current):
-            if current is None or current["status"] != LEASED or current["worker"] != worker:
-                return current
-            return dict(
-                current,
-                status=ERROR if error is not None else DONE,
-                worker=None,
-                leased_at=None,
-                lease_expires=None,
-                finished_at=self.clock(),
-                error=None if error is None else str(error),
-            )
-
-        record = self.journal.update(key, mutate)
-        if record is not None and record["status"] in (DONE, ERROR):
-            self._unmark(key)
+        An ``error`` resolve that lands fails the batch's requests; one
+        that does not leaves them to the worker that took the batch.
+        """
+        outcome = {"status": DONE if error is None else ERROR,
+                   "error": None if error is None else str(error)}
+        record = self.journal.resolve(key, worker, outcome)
+        if record is None:
+            return self.journal.read(key)
+        if error is not None:
+            self._fail(record["requests"], outcome["error"])
         return record
 
     def snapshot(self):
@@ -445,7 +322,7 @@ class BatchJournal:
 
     def drained(self):
         """True when no batch is pending or leased (reads the open index only)."""
-        return next(self._open_records(), None) is None
+        return self.journal.drained()
 
 
 # ----------------------------------------------------------------------
@@ -463,10 +340,10 @@ class MicroBatcher:
 
     Restart safety: already-batched request ids are replayed from the
     journal on construction, so a restarted batcher never double-admits,
-    and the batch sequence resumes past the highest existing key.  The
-    same full read reconciles the open-batch index and retires inputs
-    of finished batches still in ``requests/``, which brings a server
-    directory from before either existed up to date.
+    and the batch sequence resumes past the highest existing key.  It
+    also reconciles the open-batch index (building it if missing) and
+    retires inputs of finished batches still in ``requests/``, which
+    brings a server directory from before either existed up to date.
     """
 
     def __init__(
@@ -496,7 +373,7 @@ class MicroBatcher:
                 finished.update(record["requests"])
             self._seq = max(self._seq, _batch_index(key) + 1)
         self.admitted_total = len(self.admitted)
-        self.journal.reconcile(records)
+        self.journal.journal.reconcile()
         self.store.retire([r for r in self.store.scan() if r in finished])
 
     def admit(self, now=None):
@@ -600,6 +477,8 @@ def worker_loop(
     pass (the thread workers' shutdown signal).  Worker exceptions mark
     the batch ``error`` and fail its requests rather than killing the
     loop — one poison batch must not take a worker out of the fleet.
+    Every worker of one server should share ``lease_timeout``: a lease
+    expires by the timeout of the worker judging it.
     """
     worker = worker or worker_identity()
     journal = BatchJournal(
@@ -622,9 +501,6 @@ def worker_loop(
             serve_batch(model, store, record)
         except Exception as exc:  # noqa: BLE001 - poison batch containment
             journal.resolve(record["key"], worker, error=exc)
-            for request_id in record["requests"]:
-                store.fail(request_id, exc)
-            store.retire(record["requests"])
             continue
         # Retire before resolving: a crash in between lapses the lease,
         # and the re-serve loads the retired inputs from served/.

@@ -576,3 +576,67 @@ class TestWorkerCLI:
         assert payload["queue"].startswith(os.path.join(tmp_run_cache, "queue", "grid-"))
         assert payload["n_ok"] == 2
         assert "[queue: 0 resumed, 0 stolen]" in out.getvalue()
+
+
+class TestQueueFromBeforeTheIndex:
+    """A journal written before ``journal/open/`` existed drains to
+    completion whichever path touches it first — including a resumed
+    sweep, whose enqueue re-pends the error and must index the kept
+    pending and leased entries along with it."""
+
+    def legacy_queue(self, cache, tiny_grid):
+        from repro.experiments import RunRecord, execute_record
+
+        configs = pinned(tiny_grid(4))
+        done, failed, orphan, _pending = (config.cache_key() for config in configs)
+        queue = TaskQueue.create(cache, queue_name_for(configs))
+        queue.enqueue(configs)
+        assert queue.claim("old:1:0")["key"] == done
+        assert queue.resolve(done, "old:1:0", execute_record(configs[0], cache_dir=cache))
+        assert queue.claim("old:1:0")["key"] == failed
+        error = RunRecord(key=failed, config=configs[1], status="error", error="OSError: transient")
+        assert queue.resolve(failed, "old:1:0", error)
+        # claimed an hour ago by a worker that died: expired under the 900 s default
+        an_hour_ago = TaskQueue(queue.root, clock=lambda: time.time() - 3600)
+        assert an_hour_ago.claim("dead:1:0")["key"] == orphan
+        # the layout from before the index: the same files, no open/
+        shutil.rmtree(queue.journal.open_dir)
+        return queue, configs
+
+    def assert_drained(self, queue, configs, failed_status):
+        done, failed, orphan, pending = (config.cache_key() for config in configs)
+        statuses = {key: entry["status"] for key, entry in queue.snapshot().items()}
+        assert statuses == {done: DONE, failed: failed_status, orphan: DONE, pending: DONE}
+        assert queue.journal.read(orphan)["attempts"] == 2  # stolen once
+        assert queue.drained()
+        assert os.listdir(queue.journal.open_dir) == []
+
+    def test_worker_verb_touches_it_first(self, tmp_run_cache, tiny_grid, monkeypatch):
+        queue, configs = self.legacy_queue(tmp_run_cache, tiny_grid)
+        monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
+        args = build_parser().parse_args(["worker", "--queue", os.path.basename(queue.root)])
+        out = io.StringIO()
+        assert run_worker_command(args, out=out) == 1  # the old error stays terminal
+        assert "executed 2 task(s)" in out.getvalue()
+        self.assert_drained(queue, configs, ERROR)
+
+    def test_resumed_sweep_touches_it_first(self, tmp_run_cache, tiny_grid):
+        queue, configs = self.legacy_queue(tmp_run_cache, tiny_grid)
+        report = run_sweep(configs, workers=2, cache_dir=tmp_run_cache, mp_context="fork")
+        assert report.queue == queue.root
+        assert report.n_ok == 4 and report.resumed == 1 and report.stolen == 1
+        self.assert_drained(queue, configs, DONE)
+
+    def test_fleet_worker_touches_it_first(self, tmp_run_cache, tiny_grid):
+        from repro.service.supervisor import fleet_worker_loop
+
+        queue, configs = self.legacy_queue(tmp_run_cache, tiny_grid)
+        previous = signal.getsignal(signal.SIGTERM)  # the loop installs its own
+        try:
+            executed = fleet_worker_loop(
+                tmp_run_cache, "fleet-0", poll=0.01, stop_when_drained=True, max_seconds=120
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert executed == 2
+        self.assert_drained(queue, configs, ERROR)

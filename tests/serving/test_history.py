@@ -156,7 +156,9 @@ def test_stats_totals_match_a_full_snapshot_recount(tmp_path):
     assert journal.claim("victim")["key"] == stolen
     check()  # leased, still open
     clock.now += 1.0
-    worker_loop(server.root, model, worker="thief", drain=True, clock=clock)
+    worker_loop(
+        server.root, model, worker="thief", lease_timeout=1.0, drain=True, clock=clock
+    )
 
     # A poison batch: a malformed input makes the forward raise.
     (poison,) = submit({"poison-0": np.zeros((1, 5), dtype=np.float32)})

@@ -6,7 +6,8 @@ The fault-model claims under test (see ``docs/serving.md``):
 * ``max_attempts`` lease expiries turn the batch ``error`` and fail its
   requests instead of hanging their clients;
 * a poison batch is contained — the worker survives, the clients get
-  error markers;
+  error markers — but a worker that fails after its lease was taken
+  over marks nothing: the batch belongs to the worker that took it;
 * SIGKILLing a worker process mid-batch loses nothing: a survivor
   re-claims after the lease lapses and every client still gets exactly
   one response, bit-identical to the offline forward;
@@ -114,7 +115,7 @@ class TestLeaseStateMachine:
             with pytest.raises(ServingError, match="lease expired"):
                 store.try_response(request_id)
         # the batch left the open index and its inputs left admission
-        assert os.listdir(journal.open_dir) == []
+        assert os.listdir(journal.journal.open_dir) == []
         assert store.scan() == []
         assert journal.drained()
 
@@ -145,7 +146,7 @@ class TestOpenBatchIndex:
         journal.claim("worker-a")
         journal.resolve("batch-00000000", "worker-a")
         # the resolve died between writing ``done`` and unlinking the marker
-        marker = os.path.join(journal.open_dir, "batch-00000000")
+        marker = os.path.join(journal.journal.open_dir, "batch-00000000")
         open(marker, "w").close()
         journal.enqueue("batch-00000001", ["r1"])
         # the scan drops the stale marker and moves on to the next batch
@@ -163,14 +164,14 @@ class TestOpenBatchIndex:
         journal.claim("worker-a")
         journal.resolve("batch-00000000", "worker-a")
         # enqueue died between writing the marker and writing the record
-        marker = os.path.join(journal.open_dir, "batch-00000001")
+        marker = os.path.join(journal.journal.open_dir, "batch-00000001")
         open(marker, "w").close()
         assert journal.claim("worker-b") is None
         assert journal.drained()
         assert os.path.exists(marker)  # skipped, not dropped: enqueue marks first
         # the batcher's start-up reconcile drops it; the sequence moves on
         batcher = MicroBatcher(root, journal, clock=clock)
-        assert os.listdir(journal.open_dir) == []
+        assert os.listdir(journal.journal.open_dir) == []
         RequestStore(root, clock=clock).submit(np.zeros(2, dtype=np.float32), "r1")
         assert batcher.poll(force=True) == ["batch-00000001"]
         assert journal.claim("worker-b")["requests"] == ["r1"]
@@ -223,6 +224,39 @@ class TestWorkerLoop:
         for request_id in ("r0", "r1"):
             with pytest.raises(ServingError, match="poison input"):
                 store.try_response(request_id)
+
+    def test_stale_worker_error_leaves_answered_requests_alone(self, tmp_path):
+        """A worker that raises after its lease was taken over and the
+        batch served writes no error marker: its error resolve does not
+        land, and the client gets the response the journal vouches for."""
+        clock = FakeClock()
+        root = str(tmp_path)
+        store = RequestStore(root, clock=clock)
+        journal = BatchJournal(root, lease_timeout=1.0, clock=clock)
+        model = create_model("mlp", num_classes=3, in_channels=6, scale=0.25, seed=2)
+        model.eval()
+        x = np.random.default_rng(11).standard_normal((1, 6)).astype(np.float32)
+        store.submit(x, "r0")
+        journal.enqueue("batch-00000000", ["r0"])
+
+        class StallingModel:
+            """Worker A's forward: stalls past the lease while B serves, then raises."""
+
+            def __call__(self, _x):
+                clock.now += 1.0
+                assert worker_loop(
+                    root, model, worker="B", lease_timeout=1.0, drain=True, clock=clock
+                ) == 1
+                raise OSError("input volume went away")
+
+        served = worker_loop(
+            root, StallingModel(), worker="A", lease_timeout=1.0, drain=True, clock=clock
+        )
+        assert served == 0
+        record = journal.journal.read("batch-00000000")
+        assert record["status"] == DONE and record["attempts"] == 2 and record["error"] is None
+        assert not os.path.exists(os.path.join(store.responses_dir, "r0.error.json"))
+        assert np.array_equal(store.try_response("r0"), _offline(model, x))
 
     def test_max_batches_bounds_the_loop(self, tmp_path):
         clock = FakeClock()
@@ -332,7 +366,7 @@ class TestInferenceServer:
         records = server.journal.snapshot()
         assert {key: record.status for key, record in records.items()} == dict.fromkeys(legacy, DONE)
         assert records["batch-00000001"].attempts == 2  # the expired lease was stolen
-        assert os.listdir(server.journal.open_dir) == []
+        assert os.listdir(server.journal.journal.open_dir) == []
         assert store.scan() == []
         assert read_stats(root).served_total == 5
 
@@ -432,7 +466,7 @@ class TestConcurrentWorkers:
         assert not any(worker.is_alive() for worker in workers)
         records = journal.snapshot().values()
         assert all(record.status == DONE and record.attempts == 1 for record in records)
-        assert os.listdir(journal.open_dir) == []
+        assert os.listdir(journal.journal.open_dir) == []
         assert store.scan() == []
         for request_id, x in xs.items():
             assert np.array_equal(store.try_response(request_id), _offline(model, x))

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import History
-from repro.io import DirectoryCache, JsonJournal, load_checkpoint, save_checkpoint
+from repro.io import (
+    DONE,
+    LEASED,
+    PENDING,
+    DirectoryCache,
+    JsonJournal,
+    LeaseJournal,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.models import create_model
 from repro.optim import SGD
 from repro.tensor import Tensor, no_grad
@@ -154,6 +163,114 @@ class TestJsonJournal:
         with ctx.Pool(4) as pool:
             assert all(pool.map(_journal_bump, tasks))
         assert JsonJournal(str(tmp_path)).read("counter")["n"] == 4 * repeats
+
+
+def lease_record(key, status, **fields):
+    """A minimal record with the lease fields :class:`LeaseJournal` needs."""
+    record = dict(key=key, status=status, attempts=0, worker=None, leased_at=None,
+                  lease_expires=None, finished_at=None)
+    return dict(record, **fields)
+
+
+def _claim_all(task):
+    """Process entry point: claim until nothing is claimable; the keys won."""
+    root, worker = task
+    journal = LeaseJournal(root)
+    won = []
+    while (record := journal.claim(worker, 3600.0, 3, exhaust=None)) is not None:
+        won.append(record["key"])
+    return won
+
+
+class TestLeaseJournal:
+    def test_index_follows_every_transition(self, tmp_path):
+        journal = LeaseJournal(str(tmp_path), clock=lambda: 100.0)
+
+        def markers():
+            return sorted(os.listdir(journal.open_dir))
+
+        journal.update("a", lambda cur: lease_record("a", PENDING))
+        assert markers() == ["a"]
+        leased = journal.claim("w", 10.0, 3, exhaust=None)
+        assert (leased["worker"], leased["leased_at"], leased["lease_expires"]) == ("w", 100.0, 110.0)
+        assert markers() == ["a"]
+        assert journal.renew("a", "w", 10.0)
+        assert not journal.renew("a", "other", 10.0)
+        assert journal.resolve("a", "other", {"status": DONE}) is None  # not the holder
+        done = journal.resolve("a", "w", {"status": DONE})
+        assert done["status"] == DONE and done["worker"] is None and done["finished_at"] == 100.0
+        assert markers() == [] and journal.drained()
+        assert journal.resolve("a", "w", {"status": DONE}) is None  # already finished
+        journal.update("a", lambda cur: dict(cur, status=PENDING))  # re-opened, as a retry does
+        assert markers() == ["a"] and not journal.drained()
+
+    def test_expiry_follows_the_timeout_in_force(self, tmp_path):
+        now = [100.0]
+        journal = LeaseJournal(str(tmp_path), clock=lambda: now[0])
+        journal.update("a", lambda cur: lease_record("a", PENDING))
+        assert journal.claim("w1", 3600.0, 3, exhaust=None)["lease_expires"] == 3700.0
+        now[0] += 1.0
+        assert journal.claim("w2", 3600.0, 3, exhaust=None) is None
+        stolen = journal.claim("w2", 1.0, 3, exhaust=None)  # the timeout was shortened
+        assert stolen["worker"] == "w2" and stolen["attempts"] == 2
+
+    def test_exhaustion_writes_the_callers_terminal_record(self, tmp_path):
+        now = [100.0]
+        journal = LeaseJournal(str(tmp_path), clock=lambda: now[0])
+        for key in ("a", "b"):
+            journal.update(key, lambda cur, key=key: lease_record(key, PENDING))
+        assert journal.claim("w1", 1.0, 1, exhaust=None)["key"] == "a"
+        now[0] += 1.0
+        exhausted = []
+
+        def exhaust(record):
+            exhausted.append(record["worker"])
+            return {"status": "abandoned", "note": f"{record['attempts']} attempt(s)"}
+
+        # a's lease lapsed at its last attempt: written terminal, and the scan moves on
+        assert journal.claim("w2", 1.0, 1, exhaust)["key"] == "b"
+        assert exhausted == ["w1"]
+        a = journal.read("a")
+        assert (a["status"], a["note"], a["worker"], a["finished_at"]) == (
+            "abandoned", "1 attempt(s)", None, 101.0,
+        )
+        assert sorted(os.listdir(journal.open_dir)) == ["b"]
+
+    def test_stale_markers_are_skipped_or_dropped(self, tmp_path):
+        journal = LeaseJournal(str(tmp_path), clock=lambda: 100.0)
+        journal.update("a", lambda cur: lease_record("a", DONE))
+        assert journal.drained()
+        for key in ("a", "b"):  # a transition died before its unlink; an add before its write
+            open(os.path.join(journal.open_dir, key), "w").close()
+        assert journal.claim("w", 10.0, 3, exhaust=None) is None
+        assert sorted(os.listdir(journal.open_dir)) == ["b"]  # a dropped, b kept for its add
+        journal.reconcile()
+        assert os.listdir(journal.open_dir) == []
+
+    def test_journal_from_before_the_index_is_indexed_on_first_contact(self, tmp_path):
+        plain = JsonJournal(str(tmp_path))
+        for key, status in (("a", DONE), ("b", PENDING), ("c", LEASED)):
+            record = lease_record(key, status, leased_at=0.0 if status == LEASED else None)
+            plain.update(key, lambda cur, record=record: record)
+        before = sorted(os.listdir(str(tmp_path)))
+        journal = LeaseJournal(str(tmp_path), clock=lambda: 100.0)
+        assert not journal.drained()
+        assert sorted(os.listdir(journal.open_dir)) == ["b", "c"]
+        assert sorted(os.listdir(str(tmp_path))) == sorted(before + ["open"])
+        assert journal.claim("w", 10.0, 3, exhaust=None)["key"] == "b"
+        assert journal.claim("w", 10.0, 3, exhaust=None)["key"] == "c"  # expired lease
+
+    def test_racing_claimers_build_one_index_and_win_each_record_once(self, tmp_path):
+        plain = JsonJournal(str(tmp_path))
+        keys = [f"k{index:02d}" for index in range(24)]
+        for key in keys:
+            plain.update(key, lambda cur, key=key: lease_record(key, PENDING))
+        with get_context("fork").Pool(4) as pool:
+            tasks = [(str(tmp_path), f"w{index}") for index in range(4)]
+            won = pool.map_async(_claim_all, tasks).get(timeout=60)
+        assert sorted(key for keys_won in won for key in keys_won) == keys
+        leftovers = set(os.listdir(str(tmp_path))) - {k + ext for k in keys for ext in (".json", ".lock")}
+        assert leftovers == {"open"}
 
 
 class TestDirectoryCache:
