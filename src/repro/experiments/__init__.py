@@ -12,6 +12,7 @@ assertions) and ``format_*`` (text rendering):
 ``fig2``     ``||Hz||`` and generalization gap across training
 ``fig3``     loss contours around converged weights
 ``ablations``design-choice ablations (perturbation/penalty/h/gamma)
+``qat``      Sec. 2.2 motivation (``qat_motivation``): QAT vs HERO/SGD PTQ
 ===========  ===========================================================
 """
 
@@ -39,8 +40,7 @@ from .runner import (
 from .sweep import (
     SweepReport,
     run_sweep,
-    warm_cache,
-    warm_for,
+    train_runs,
     resolve_workers,
     format_sweep,
 )
@@ -80,6 +80,7 @@ from .ablations import (
     run_h_sensitivity,
     run_gamma_grid,
     run_regularizer_ablation,
+    run_ablations,
     format_ablation,
     ablation_configs,
 )
@@ -104,8 +105,7 @@ __all__ = [
     "RunRecord",
     "SweepReport",
     "run_sweep",
-    "warm_cache",
-    "warm_for",
+    "train_runs",
     "resolve_workers",
     "format_sweep",
     "execute_record",
@@ -150,6 +150,7 @@ __all__ = [
     "run_h_sensitivity",
     "run_gamma_grid",
     "run_regularizer_ablation",
+    "run_ablations",
     "format_ablation",
     "ablation_configs",
     "run_qat_motivation",

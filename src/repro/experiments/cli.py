@@ -69,14 +69,10 @@ from . import (
     run_fig1,
     run_fig2,
     run_fig3,
-    run_gamma_grid,
-    run_h_sensitivity,
-    run_penalty_ablation,
-    run_perturbation_ablation,
+    run_ablations,
     run_qat_motivation,
     check_qat_motivation,
     format_qat_motivation,
-    run_regularizer_ablation,
     run_table1,
     run_table2,
     run_table3,
@@ -85,29 +81,13 @@ from . import (
 from ..data.pipeline import WORKERS_ENV, dataset_cache_dir, resolve_spec
 from ..messages import SchemaError
 from ..tensor import set_default_dtype
-from .ablations import ablation_configs
 from .config import TrainConfig, make_grid
 from .runner import default_cache_dir
 from .sweep import (
     format_sweep,
     resolve_workers,
     run_sweep,
-    warm_cache,
 )
-
-
-def _ablations(profile, cache_dir=None, workers=None, **kwargs):
-    # One combined warm pass so parallelism spans all four cached
-    # ablation grids at once (the regularizer study trains inline).
-    warm_cache(ablation_configs(profile=profile), workers=workers, cache_dir=cache_dir)
-    results = [
-        run_perturbation_ablation(profile=profile, cache_dir=cache_dir),
-        run_penalty_ablation(profile=profile, cache_dir=cache_dir),
-        run_h_sensitivity(profile=profile, cache_dir=cache_dir),
-        run_gamma_grid(profile=profile, cache_dir=cache_dir),
-        run_regularizer_ablation(profile=profile, cache_dir=cache_dir),
-    ]
-    return {"ablations": results}
 
 
 def _format_ablations(result):
@@ -121,7 +101,7 @@ ARTIFACTS = {
     "fig1": (run_fig1, format_fig1, check_fig1),
     "fig2": (run_fig2, format_fig2, check_fig2),
     "fig3": (run_fig3, format_fig3, check_fig3),
-    "ablations": (_ablations, _format_ablations, None),
+    "ablations": (run_ablations, _format_ablations, None),
     "qat": (run_qat_motivation, format_qat_motivation, check_qat_motivation),
 }
 
@@ -417,7 +397,7 @@ def resolve_queue_root(name, cache_dir=None):
     cache — the common "I started one sweep, join it" case; anything
     ambiguous raises with the candidate names so the operator can pick.
     """
-    from .scheduler import QUEUE_SUBDIR, queue_root
+    from .scheduler import QUEUE_SUBDIR, discover_queues, queue_root
 
     cache_dir = cache_dir or default_cache_dir()
     if name:
@@ -425,19 +405,15 @@ def resolve_queue_root(name, cache_dir=None):
         if not os.path.exists(os.path.join(root, "meta.json")):
             raise SystemExit(f"no queue at {root}; start one with 'sweep --workers N'")
         return root
-    queues_dir = os.path.join(cache_dir, QUEUE_SUBDIR)
-    candidates = sorted(
-        entry
-        for entry in (os.listdir(queues_dir) if os.path.isdir(queues_dir) else [])
-        if os.path.exists(os.path.join(queues_dir, entry, "meta.json"))
-    )
+    candidates = discover_queues(cache_dir)
     if len(candidates) == 1:
-        return os.path.join(queues_dir, candidates[0])
+        return candidates[0]
     if not candidates:
-        raise SystemExit(f"no queues under {queues_dir}; start one with "
+        raise SystemExit(f"no queues under {os.path.join(cache_dir, QUEUE_SUBDIR)}; start one with "
                          "'sweep --workers N' or pass --queue")
     raise SystemExit(
-        "multiple queues exist; pass --queue one of: " + ", ".join(candidates)
+        "multiple queues exist; pass --queue one of: "
+        + ", ".join(os.path.basename(root) for root in candidates)
     )
 
 
@@ -465,7 +441,7 @@ def run_worker_command(args, out=sys.stdout):
         root,
         worker=worker,
         max_tasks=args.max_tasks,
-        wait=not args.no_wait,
+        until="idle" if args.no_wait else "drained",
     )
     counts = queue.counts()
     print(f"worker {worker} executed {executed} task(s)", file=out)
@@ -778,11 +754,7 @@ def run_artifact(
 ):
     """Run one artifact; returns the number of paper-shape violations."""
     run_fn, format_fn, check_fn = ARTIFACTS[name]
-    kwargs = {"profile": profile, "workers": workers}
-    if name != "ablations":
-        kwargs["seed"] = seed
-        kwargs["force"] = force
-    result = run_fn(**kwargs)
+    result = run_fn(profile=profile, seed=seed, workers=workers, force=force)
     print(format_fn(result), file=out)
     violations = check_fn(result) if check_fn else []
     if violations:

@@ -12,8 +12,8 @@ Reuses the cached Table 1 training runs (identical configs).
 from ..quant import precision_sweep
 from .config import make_config
 from .reporting import format_series
-from .runner import accuracy_eval_fn, load_experiment_data, run_training
-from .sweep import warm_for
+from .runner import accuracy_eval_fn, load_experiment_data
+from .sweep import train_runs
 
 METHODS = ("hero", "grad_l1", "sgd")
 PANELS = (
@@ -50,24 +50,16 @@ def run_fig1(
     symmetric=True,
     per_channel=False,
     workers=None,
-    **runner_kwargs,
+    force=False,
 ):
     """Sweep PTQ precision for every panel and method."""
-    warm_for(
-        fig1_configs(profile=profile, seed=seed, panels=panels),
-        runner_kwargs,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    configs = fig1_configs(profile=profile, seed=seed, panels=panels)
+    runs = zip(configs, train_runs(configs, workers=workers, cache_dir=cache_dir, force=force))
     results = {}
     for panel_id, dataset, model in panels:
         curves = {}
         for method in METHODS:
-            config = make_config(model, dataset, method, profile=profile, seed=seed)
-            kwargs = dict(runner_kwargs)
-            if cache_dir is not None:
-                kwargs["cache_dir"] = cache_dir
-            run = run_training(config, **kwargs)
+            config, run = next(runs)
             _train, test, _spec = load_experiment_data(config)
             curves[method] = precision_sweep(
                 run.model,
@@ -96,38 +88,26 @@ def run_fig1_schemes(
     model="ResNet20",
     bits=4,
     workers=None,
-    **runner_kwargs,
+    force=False,
 ):
     """The paper's "beats GRAD-L1 under all quantization schemes" claim.
 
     Fixes one panel and precision and varies the quantizer: symmetric/
-    asymmetric x per-tensor/per-channel.  Reuses cached training runs.
+    asymmetric x per-tensor/per-channel.  Reuses cached training runs,
+    each loaded once for all four schemes.
     """
     from ..quant import QuantScheme, evaluate_quantized
 
-    warm_for(
-        [
-            make_config(model, dataset, method, profile=profile, seed=seed)
-            for method in METHODS
-        ],
-        runner_kwargs,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    configs = fig1_configs(profile=profile, seed=seed, panels=[(None, dataset, model)])
+    runs = list(train_runs(configs, workers=workers, cache_dir=cache_dir, force=force))
+    _train, test, _spec = load_experiment_data(configs[0])
+    eval_fn = accuracy_eval_fn(test)
     rows = []
     for scheme_name, kwargs_scheme in SCHEMES.items():
         entry = {"scheme": scheme_name}
-        for method in METHODS:
-            config = make_config(model, dataset, method, profile=profile, seed=seed)
-            kwargs = dict(runner_kwargs)
-            if cache_dir is not None:
-                kwargs["cache_dir"] = cache_dir
-            run = run_training(config, **kwargs)
-            _train, test, _spec = load_experiment_data(config)
-            scheme = QuantScheme(bits=bits, **kwargs_scheme)
-            entry[method], _report = evaluate_quantized(
-                run.model, scheme, accuracy_eval_fn(test)
-            )
+        scheme = QuantScheme(bits=bits, **kwargs_scheme)
+        for method, run in zip(METHODS, runs):
+            entry[method], _report = evaluate_quantized(run.model, scheme, eval_fn)
         rows.append(entry)
     return {"rows": rows, "bits": bits, "model": model, "dataset": dataset}
 

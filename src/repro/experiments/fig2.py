@@ -7,8 +7,6 @@ Claims: the Hessian norm grows as models overfit, HERO keeps it lowest
 at convergence, and correspondingly shows the smallest gap.
 """
 
-import json
-import os
 from functools import partial
 
 from ..core.callbacks import GeneralizationGapCallback, HessianNormCallback
@@ -16,8 +14,8 @@ from ..data import DataLoader
 from ..nn import CrossEntropyLoss
 from .config import make_config
 from .reporting import format_series
-from .runner import _cache_complete, default_cache_dir, load_experiment_data, run_training
-from .sweep import run_sweep, warm_for
+from .runner import load_experiment_data
+from .sweep import train_runs
 
 METHODS = ("hero", "grad_l1", "sgd")
 
@@ -39,25 +37,6 @@ def fig2_callbacks(config, max_batches=2):
     ]
 
 
-def _cached_without_hessian(config, cache_dir):
-    """True if the run is cached but lacks the ``||Hz||`` column.
-
-    Happens when another experiment (same config, no callbacks) trained
-    the entry first; such hits need a force-retrain with the callbacks
-    attached.
-    """
-    root = cache_dir if cache_dir is not None else default_cache_dir()
-    path = os.path.join(root, config.cache_key())
-    if not _cache_complete(path):
-        return False
-    try:
-        with open(os.path.join(path, "history.json")) as fh:
-            columns = json.load(fh)
-    except (OSError, ValueError):
-        return True
-    return not any(value is not None for value in columns.get("hessian_norm", []))
-
-
 def fig2_configs(profile="fast", seed=0, model="ResNet20-fast", dataset="cifar10_like"):
     """The figure's three training arms as a sweep spec."""
     return [
@@ -75,48 +54,43 @@ def run_fig2(
     max_batches=2,
     gap_window=10,
     workers=None,
-    **runner_kwargs,
+    force=False,
 ):
     """Train the three methods with per-epoch ``||Hz||`` tracking.
 
     Note: unlike the other experiments this one *always* retrains when
     its metrics are missing from cache, because the measurement happens
-    inside training callbacks.  A parallel warm pass attaches the same
-    callbacks inside each worker, so fresh cache entries already carry
-    the measured columns.
+    inside training callbacks.  Every run trains with the callbacks
+    attached (inside each worker on the parallel path), so fresh cache
+    entries already carry the measured columns.
     """
     configs = fig2_configs(profile=profile, seed=seed, model=model, dataset=dataset)
     factory = partial(fig2_callbacks, max_batches=max_batches)
-    warmed = warm_for(
-        configs, runner_kwargs, workers=workers, cache_dir=cache_dir, callback_factory=factory
+    results = list(
+        train_runs(
+            configs, workers=workers, cache_dir=cache_dir, force=force, callback_factory=factory
+        )
     )
-    if warmed is not None:
-        # Warm hits cached by *other* experiments never ran the
-        # callbacks; force-retrain exactly those, still in parallel, so
-        # the assembly loop below stays pure cache reads.
-        stale = [c for c in configs if _cached_without_hessian(c, cache_dir)]
-        if stale:
-            run_sweep(
-                stale,
-                workers=workers,
-                cache_dir=cache_dir if cache_dir is not None else default_cache_dir(),
-                force=True,
-                callback_factory=factory,
-            )
+    # Cache hits trained by *other* experiments never ran the callbacks;
+    # force-retrain exactly those, with measurement enabled.
+    stale = [
+        index
+        for index, result in enumerate(results)
+        if result.from_cache and not any(result.history["hessian_norm"])
+    ]
+    if stale:
+        retrained = train_runs(
+            [configs[index] for index in stale],
+            workers=workers,
+            cache_dir=cache_dir,
+            force=True,
+            callback_factory=factory,
+        )
+        for index, result in zip(stale, retrained):
+            results[index] = result
     series = {}
-    for method in METHODS:
-        config = make_config(model, dataset, method, profile=profile, seed=seed)
-        callbacks = fig2_callbacks(config, max_batches=max_batches)
-        kwargs = dict(runner_kwargs)
-        if cache_dir is not None:
-            kwargs["cache_dir"] = cache_dir
-        result = run_training(config, callbacks=callbacks, **kwargs)
+    for method, result in zip(METHODS, results):
         history = result.history
-        if result.from_cache and not any(history["hessian_norm"]):
-            # Cached run from another experiment without the callback:
-            # retrain with measurement enabled.
-            result = run_training(config, callbacks=callbacks, force=True, **kwargs)
-            history = result.history
         series[method] = {
             "epoch": history["epoch"],
             "hessian_norm": history["hessian_norm"],

@@ -20,8 +20,8 @@ from ..landscape import (
 )
 from ..nn import CrossEntropyLoss
 from .config import make_config
-from .runner import load_experiment_data, run_training
-from .sweep import warm_for
+from .runner import load_experiment_data
+from .sweep import train_runs
 
 METHODS = ("hero", "sgd")
 
@@ -46,26 +46,17 @@ def run_fig3(
     max_batches=2,
     direction_seed=7,
     workers=None,
-    **runner_kwargs,
+    force=False,
 ):
     """Evaluate the 2-D loss surface around each method's optimum.
 
     Both surfaces use the same random seed for the plot directions and
     the same grid radius — the paper's "plotted under the same scale".
     """
-    warm_for(
-        fig3_configs(profile=profile, seed=seed, model=model, dataset=dataset),
-        runner_kwargs,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    configs = fig3_configs(profile=profile, seed=seed, model=model, dataset=dataset)
+    results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     surfaces = {}
-    for method in METHODS:
-        config = make_config(model, dataset, method, profile=profile, seed=seed)
-        kwargs = dict(runner_kwargs)
-        if cache_dir is not None:
-            kwargs["cache_dir"] = cache_dir
-        result = run_training(config, **kwargs)
+    for method, config, result in zip(METHODS, configs, results):
         train, _test, _spec = load_experiment_data(config)
         loader = DataLoader(train, batch_size=config.batch_size, shuffle=False, seed=0)
         batches = []

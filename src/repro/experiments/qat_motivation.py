@@ -20,9 +20,8 @@ from .runner import (
     build_model,
     build_trainer,
     load_experiment_data,
-    run_training,
 )
-from .sweep import warm_for
+from .sweep import train_runs
 
 
 def qat_motivation_configs(profile="fast", seed=0, model="ResNet20-fast", dataset="cifar10_like"):
@@ -42,25 +41,16 @@ def run_qat_motivation(
     qat_bits=4,
     bits=(3, 4, 5, 6, 8),
     workers=None,
-    **runner_kwargs,
+    force=False,
 ):
     """Deploy QAT@{qat_bits}, HERO and SGD models at every precision."""
-    warm_for(
-        qat_motivation_configs(profile=profile, seed=seed, model=model, dataset=dataset),
-        runner_kwargs,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    configs = qat_motivation_configs(profile=profile, seed=seed, model=model, dataset=dataset)
+    results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     curves = {}
     # HERO and SGD come from the shared cached runs.
-    for method in ("hero", "sgd"):
-        config = make_config(model, dataset, method, profile=profile, seed=seed)
-        kwargs = dict(runner_kwargs)
-        if cache_dir is not None:
-            kwargs["cache_dir"] = cache_dir
-        result = run_training(config, **kwargs)
+    for config, result in zip(configs, results):
         _train, test, _spec = load_experiment_data(config)
-        curves[method] = precision_sweep(
+        curves[config.method] = precision_sweep(
             result.model, accuracy_eval_fn(test), bits_list=bits
         )
 

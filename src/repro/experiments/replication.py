@@ -8,29 +8,26 @@ users who want error bars.
 
 import numpy as np
 
-from .runner import run_training
-from .sweep import warm_for
+from .sweep import train_runs
 
 
-def run_with_seeds(config, seeds=(0, 1, 2), cache_dir=None, workers=None, **runner_kwargs):
+def run_with_seeds(config, seeds=(0, 1, 2), cache_dir=None, workers=None, force=False):
     """Run ``config`` under each seed; returns per-seed results + stats.
 
     The seed is injected with ``config.with_overrides(seed=s)`` so data
     splits, init and shuffling all move together, like the paper's
     independent runs.  ``workers > 1`` trains the seeds in parallel.
     """
-    warm_for(
+    results = train_runs(
         [config.with_overrides(seed=seed) for seed in seeds],
-        runner_kwargs,
         workers=workers,
         cache_dir=cache_dir,
+        force=force,
     )
-    results = []
-    for seed in seeds:
-        kwargs = dict(runner_kwargs)
-        if cache_dir is not None:
-            kwargs["cache_dir"] = cache_dir
-        results.append(run_training(config.with_overrides(seed=seed), **kwargs))
+    return _seed_stats(config, seeds, list(results))
+
+
+def _seed_stats(config, seeds, results):
     test_accs = np.array([r.test_acc for r in results])
     train_accs = np.array([r.train_acc for r in results])
     return {
@@ -50,7 +47,7 @@ def compare_methods_with_seeds(
     seeds=(0, 1, 2),
     cache_dir=None,
     workers=None,
-    **runner_kwargs,
+    force=False,
 ):
     """Seed-replicated method comparison.
 
@@ -60,23 +57,19 @@ def compare_methods_with_seeds(
     mean beats the last method's mean by more than the pooled std
     (a coarse effect-size screen, not a formal test).
 
-    The whole methods × seeds grid is warmed in one parallel sweep, so
-    ``workers`` parallelism spans methods as well as seeds.
+    The whole methods × seeds grid trains as one
+    :func:`~repro.experiments.sweep.train_runs` call, so ``workers``
+    parallelism spans methods as well as seeds.
     """
-    warm_for(
-        [
-            make_config_fn(method).with_overrides(seed=seed)
-            for method in methods
-            for seed in seeds
-        ],
-        runner_kwargs,
+    configs = {method: make_config_fn(method) for method in methods}
+    results = train_runs(
+        [configs[method].with_overrides(seed=seed) for method in methods for seed in seeds],
         workers=workers,
         cache_dir=cache_dir,
+        force=force,
     )
     stats = {
-        method: run_with_seeds(
-            make_config_fn(method), seeds=seeds, cache_dir=cache_dir, **runner_kwargs
-        )
+        method: _seed_stats(configs[method], seeds, [next(results) for _seed in seeds])
         for method in methods
     }
     reference = methods[-1]

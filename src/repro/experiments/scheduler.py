@@ -20,11 +20,14 @@ bookkeeping, and any process that can see the cache may join:
   :data:`DEFAULT_MAX_ATTEMPTS` times is marked ``quarantined`` instead
   of looping forever — the poison-task backstop.  Claims list the
   open index ``journal/open/``, so idle ones read no finished task.
-* **Work-stealing workers** — :func:`worker_loop` is a claim → train
-  → record loop any number of processes can run concurrently, on any
-  machine sharing the cache directory (``python -m repro.experiments
-  worker``).  Workers drain the queue and exit; adding workers
-  mid-sweep just makes it drain faster.
+* **Work-stealing workers** — :func:`worker_loop` is the one claim →
+  train → record loop, serving one queue or every queue under a cache
+  directory, and any number of processes can run it concurrently on
+  any machine sharing that directory.  Its ``until`` rule is the only
+  difference between them: a sweep's own workers exit at their first
+  idle pass, ``python -m repro.experiments worker`` waits for the
+  drain, and a resident fleet worker (:mod:`repro.service`) never
+  exits.  Adding workers mid-sweep just makes the queue drain faster.
 * **Resume** — re-enqueueing the same grid keeps ``done`` records
   whose run-cache entries are intact (their metrics are served
   straight from the journal) and re-runs everything else.  An
@@ -114,6 +117,27 @@ def queue_name_for(configs):
 def queue_root(cache_dir, name):
     """Directory queue ``name`` occupies under the run cache."""
     return os.path.join(os.path.abspath(cache_dir), QUEUE_SUBDIR, name)
+
+
+def discover_queues(cache_dir, queues=None):
+    """Roots of every live queue under ``cache_dir`` (sorted).
+
+    A queue is live once its ``meta.json`` exists.  ``queues``
+    optionally restricts to an iterable of queue names — the knob for
+    pointing a fleet at a subset of the cache's queues.
+    """
+    queues_dir = os.path.join(os.path.abspath(cache_dir), QUEUE_SUBDIR)
+    if not os.path.isdir(queues_dir):
+        return []
+    wanted = set(queues) if queues is not None else None
+    roots = []
+    for name in sorted(os.listdir(queues_dir)):
+        if wanted is not None and name not in wanted:
+            continue
+        root = os.path.join(queues_dir, name)
+        if os.path.exists(os.path.join(root, "meta.json")):
+            roots.append(root)
+    return roots
 
 
 def new_entry(config, force=False, now=0.0):
@@ -551,12 +575,11 @@ def _worker_log(queue, worker):
 def run_claimed_task(queue, entry, worker, callback_factory=None, heartbeat=None, log=None):
     """Execute one claimed ``entry`` and resolve it; returns the record.
 
-    The single task-execution step shared by :func:`worker_loop` and
-    the fleet's multi-queue workers (:mod:`repro.service.supervisor`):
-    attach a :class:`StepLeaseRenewal` so the lease is kept alive from
-    inside the trainer's step loop, run through ``execute_record``
-    (crash contained), and resolve under lease ownership — a stale
-    worker's result is discarded, never double-written.
+    The task-execution step of :func:`worker_loop`: attach a
+    :class:`StepLeaseRenewal` so the lease is kept alive from inside
+    the trainer's step loop, run through ``execute_record`` (crash
+    contained), and resolve under lease ownership — a stale worker's
+    result is discarded, never double-written.
     """
     key = entry["key"]
     config = TrainConfig.from_dict(entry["config"])
@@ -579,77 +602,92 @@ def run_claimed_task(queue, entry, worker, callback_factory=None, heartbeat=None
 
 
 def worker_loop(
-    root,
+    root=None,
     worker=None,
     callback_factory=None,
     poll=0.5,
-    wait=True,
+    until="drained",
     max_tasks=None,
-    on_record=None,
+    max_seconds=None,
     heartbeat=None,
+    cache_dir=None,
+    queues=None,
 ):
-    """Drain tasks from the queue at ``root``; returns tasks executed.
+    """The one claim → train → resolve loop; returns tasks executed.
 
-    The work-stealing loop: claim the first runnable task (pending, or
-    leased with an expired lease), execute it against the shared run
-    cache, record the outcome, repeat.  With ``wait=True`` (the
-    default) the worker naps ``poll`` seconds whenever nothing is
-    runnable and exits once the queue is drained — so a fleet of
-    workers started at different times, on different machines, all
-    finish together.  ``wait=False`` exits at the first idle scan
-    (batch-queue style).  ``max_tasks`` caps this worker's share.
+    Serves the queue at ``root`` or, given ``cache_dir`` instead, every
+    queue under that cache (:func:`discover_queues`, re-read each pass;
+    ``queues`` restricts to names).  Each pass claims at most one task
+    per queue — the first runnable one: pending, or leased with an
+    expired lease — and runs it through :func:`run_claimed_task`, which
+    renews the lease between optimizer steps and discards the result
+    of a worker whose lease was stolen.  A pass that ran something is
+    followed at once by the next; after an idle pass ``until`` decides:
 
-    Every run executes with a :class:`StepLeaseRenewal` attached, so
-    the lease is renewed between optimizer steps rather than only
-    between tasks — a task longer than the lease timeout is safe as
-    long as individual steps are shorter than it.  Each run still
-    re-resolves its lease before being recorded: a worker that stalled
-    past its lease timeout discards its result (the task was stolen;
-    the thief's deterministic re-run produced the same thing) instead
-    of double-writing.  ``heartbeat`` (a
+    * ``"idle"`` — exit (sweep-spawned workers, ``worker --no-wait``);
+    * ``"drained"`` — exit once every served queue is drained, else nap
+      ``poll`` seconds, so workers started at different times, on
+      different machines, finish together (the ``worker`` verb, a
+      sweep's inline drain);
+    * ``None`` — nap forever: a drained cache just means waiting for
+      the next sweep (the resident fleet).
+
+    ``max_tasks`` caps this worker's share and ``max_seconds`` its
+    wall-clock (checked between passes).  ``heartbeat`` (a
     :class:`repro.service.heartbeat.Heartbeat`, optional) is beaten on
     every claim/finish/idle transition and between steps, which is
-    what ``queue-status`` derives per-worker liveness from.
+    what ``queue-status`` derives per-worker liveness from.  A queue's
+    per-worker log opens at this worker's first claim there.
     """
-    queue = TaskQueue(root)
+    if until not in ("idle", "drained", None):
+        raise ValueError(f"until must be 'idle', 'drained' or None, got {until!r}")
+    if (root is None) == (cache_dir is None):
+        raise ValueError("worker_loop serves either one queue root or a cache_dir")
     worker = worker or worker_identity()
-    fh, log = _worker_log(queue, worker)
+    started = time.monotonic()
     executed = 0
-    log(f"worker start (root={queue.root})")
+    logs = {}
     try:
-        while True:
-            entry = queue.claim(worker)
-            if entry is None:
-                if queue.drained():
-                    log("queue drained; exiting")
-                    break
-                if not wait:
-                    log("nothing runnable; exiting (wait=False)")
-                    break
+        while max_seconds is None or time.monotonic() - started < max_seconds:
+            roots = [root] if cache_dir is None else discover_queues(cache_dir, queues)
+            claimed, idle = False, []
+            for queue in map(TaskQueue, roots):
+                try:
+                    entry = queue.claim(worker)
+                except FileNotFoundError:
+                    continue  # queue deleted between discovery and claim
+                if entry is None:
+                    idle.append(queue)
+                    continue
+                claimed = True
+                if queue.root not in logs:
+                    logs[queue.root] = _worker_log(queue, worker)
+                log = logs[queue.root][1]
+                stolen = " (stolen)" if entry["attempts"] > 1 else ""
+                log(f"claimed {entry['key']} attempt={entry['attempts']}{stolen}")
                 if heartbeat is not None:
-                    heartbeat.beat("idle", queue=queue.root)
-                time.sleep(poll)
+                    heartbeat.beat("running", queue=queue.root, key=entry["key"], force=True)
+                run_claimed_task(
+                    queue, entry, worker,
+                    callback_factory=callback_factory, heartbeat=heartbeat, log=log,
+                )
+                executed += 1
+                if heartbeat is not None:
+                    heartbeat.tasks_done += 1
+                    heartbeat.beat("idle", queue=queue.root, force=True)
+                if max_tasks is not None and executed >= max_tasks:
+                    return executed
+            if claimed:
                 continue
-            key = entry["key"]
-            stolen = " (stolen)" if entry["attempts"] > 1 else ""
-            log(f"claimed {key} attempt={entry['attempts']}{stolen}")
-            if heartbeat is not None:
-                heartbeat.beat("running", queue=queue.root, key=key, force=True)
-            record = run_claimed_task(
-                queue, entry, worker,
-                callback_factory=callback_factory, heartbeat=heartbeat, log=log,
-            )
-            if record is not None and on_record is not None:
-                on_record(record)
-            executed += 1
-            if heartbeat is not None:
-                heartbeat.tasks_done += 1
-                heartbeat.beat("idle", queue=queue.root, force=True)
-            if max_tasks is not None and executed >= max_tasks:
-                log(f"max_tasks={max_tasks} reached; exiting")
+            if until == "idle" or (until == "drained" and roots and all(q.drained() for q in idle)):
                 break
+            if heartbeat is not None:
+                heartbeat.beat("idle", queue=root)
+            time.sleep(poll)
     finally:
-        fh.close()
+        for fh, log in logs.values():
+            log(f"worker exiting after {executed} task(s)")
+            fh.close()
     return executed
 
 
@@ -657,12 +695,12 @@ def _worker_main(task):
     """Process entry point of the workers ``run_sweep`` spawns (picklable).
 
     ``task`` is ``(root, worker, callback_factory, poll)``.  The worker
-    exits at its first idle scan instead of napping ``poll`` seconds:
+    exits at its first idle pass instead of napping ``poll`` seconds:
     every task of the sweep was enqueued before it started, so nothing
     runnable can appear later except a dead worker's expired lease, and
     ``run_sweep`` steals those itself once its workers have exited.
     """
     root, worker, callback_factory, poll = task
     return worker_loop(
-        root, worker=worker, callback_factory=callback_factory, poll=poll, wait=False
+        root, worker=worker, callback_factory=callback_factory, poll=poll, until="idle"
     )

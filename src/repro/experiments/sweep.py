@@ -36,7 +36,10 @@ Properties every path shares:
 
 Opt in to parallelism with ``workers=N`` or the ``REPRO_WORKERS``
 environment variable.  The ``python -m repro.experiments sweep`` CLI
-verb exposes the engine directly.
+verb exposes the engine directly; the table/figure drivers reach it
+through :func:`train_runs`, which yields the trained runs themselves
+(serial: trained in process, in order; parallel: one queued sweep,
+then read back from the run cache one at a time).
 
 Examples
 --------
@@ -66,7 +69,7 @@ from ..data.pipeline import dataset_cache_dir, resolve_spec, resolve_workers, wa
 from ..tensor import dtype_context, dtype_name
 from . import scheduler as sched
 from .reporting import format_table, record_to_dict
-from .runner import _DEFAULT_CACHE, default_cache_dir, execute_record
+from .runner import _DEFAULT_CACHE, default_cache_dir, execute_record, run_training
 
 
 @dataclass
@@ -365,48 +368,43 @@ def _run_queue_sweep(
     )
 
 
-def warm_cache(configs, workers=None, cache_dir=None, force=False, callback_factory=None):
-    """Pre-populate the run cache in parallel; no-op when serial.
+def train_runs(configs, workers=None, cache_dir=None, force=False, callback_factory=None):
+    """Yield one :class:`~repro.experiments.runner.RunResult` per config, in order.
 
-    The table/figure drivers call this before assembling their results:
-    with ``workers > 1`` every grid cell trains concurrently and the
-    driver's subsequent ``run_training`` calls become cache hits; with
-    the default serial worker count the drivers behave exactly as
-    before (train lazily, in order), keeping tier-1 runs deterministic.
-    Returns the :class:`SweepReport`, or ``None`` on the serial path.
+    The table/figure drivers' one path from a grid to trained runs.
+    When ``workers`` resolves to 1 each config trains (or loads) in
+    this process, in order: an exception propagates and no queue
+    directory is created.  With ``workers >= 2`` the grid trains as one
+    queued :func:`run_sweep` at the first ``next()``, and every result
+    is then read back from the run cache.  Results are produced on
+    demand, so a driver that assembles as it iterates holds one trained
+    model at a time; wrap the call in ``list()`` to keep them all.
+    ``force`` retrains each config once: it applies only to the pass
+    that trains.  ``callback_factory(config)`` builds each run's
+    training callbacks (Fig. 2's ``||Hz||`` probe).  ``cache_dir=None``
+    means the default run cache.
     """
+    cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
     workers = resolve_workers(workers)
-    if workers <= 1:
-        return None
-    return run_sweep(
-        configs,
-        workers=workers,
-        cache_dir=cache_dir if cache_dir is not None else default_cache_dir(),
-        force=force,
-        callback_factory=callback_factory,
-    )
-
-
-def warm_for(configs, runner_kwargs, workers=None, cache_dir=None, callback_factory=None):
-    """Warm the cache on behalf of a table/figure driver.
-
-    Wraps :func:`warm_cache` with the contract every driver needs:
-    when a parallel warm pass ran, the driver's ``force`` flag is
-    cleared in ``runner_kwargs`` (mutated in place) so its subsequent
-    ``run_training`` calls read the freshly written cache instead of
-    force-retraining serially.  Returns the :class:`SweepReport`, or
-    ``None`` on the serial no-op path.
-    """
-    report = warm_cache(
-        configs,
-        workers=workers,
-        cache_dir=cache_dir,
-        force=runner_kwargs.get("force", False),
-        callback_factory=callback_factory,
-    )
-    if report is not None:
-        runner_kwargs["force"] = False
-    return report
+    if workers > 1:
+        run_sweep(
+            configs,
+            workers=workers,
+            cache_dir=cache_dir,
+            force=force,
+            callback_factory=callback_factory,
+        )
+        force = False
+    trained = set()
+    for config in configs:
+        key = config.cache_key()
+        yield run_training(
+            config,
+            callbacks=callback_factory(config) if callback_factory is not None else (),
+            cache_dir=cache_dir,
+            force=force and key not in trained,
+        )
+        trained.add(key)
 
 
 def format_sweep(report, limit=None):

@@ -9,8 +9,7 @@ row, while GRAD-L1 is not consistently better than SGD.
 
 from .config import make_config
 from .reporting import format_table
-from .runner import run_training
-from .sweep import warm_for
+from .sweep import train_runs
 
 METHODS = ("hero", "grad_l1", "sgd")
 
@@ -34,31 +33,23 @@ def table1_configs(profile="fast", seed=0, rows=ROWS):
     ]
 
 
-def run_table1(profile="fast", cache_dir=None, seed=0, rows=ROWS, workers=None, **runner_kwargs):
+def run_table1(profile="fast", cache_dir=None, seed=0, rows=ROWS, workers=None, force=False):
     """Train every (dataset, model, method) cell; return the table data.
 
-    With ``workers > 1`` (or ``REPRO_WORKERS`` set) the grid trains in
-    parallel through the sweep engine first; the assembly loop below
-    then reads every cell from cache.
+    The grid trains through :func:`~repro.experiments.sweep.train_runs`:
+    in parallel with ``workers > 1`` (or ``REPRO_WORKERS`` set), in
+    order in this process otherwise.
 
     Returns ``{"rows": [...], "profile": profile}`` where each row is a
     dict with the dataset, model and one test accuracy per method.
     """
-    warm_for(
-        table1_configs(profile=profile, seed=seed, rows=rows),
-        runner_kwargs,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    configs = table1_configs(profile=profile, seed=seed, rows=rows)
+    results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     table_rows = []
     for dataset, model in rows:
         entry = {"dataset": dataset, "model": model}
         for method in METHODS:
-            config = make_config(model, dataset, method, profile=profile, seed=seed)
-            kwargs = dict(runner_kwargs)
-            if cache_dir is not None:
-                kwargs["cache_dir"] = cache_dir
-            result = run_training(config, **kwargs)
+            result = next(results)
             entry[method] = result.test_acc
             entry[f"{method}_train"] = result.train_acc
         table_rows.append(entry)

@@ -11,8 +11,7 @@ budget; the architecture families match the paper's.
 
 from .config import make_config
 from .reporting import format_table
-from .runner import run_training
-from .sweep import warm_for
+from .sweep import train_runs
 
 METHODS = ("hero", "grad_l1", "sgd")
 NOISE_RATIOS = (0.2, 0.4, 0.6, 0.8)
@@ -38,34 +37,18 @@ def run_table2(
     models=MODELS,
     noise_ratios=NOISE_RATIOS,
     workers=None,
-    **runner_kwargs,
+    force=False,
 ):
     """Train each (model, noise ratio, method) cell on noisy labels."""
-    warm_for(
-        table2_configs(profile=profile, seed=seed, models=models, noise_ratios=noise_ratios),
-        runner_kwargs,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    configs = table2_configs(profile=profile, seed=seed, models=models, noise_ratios=noise_ratios)
+    results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     panels = {}
     for model in models:
         rows = []
         for ratio in noise_ratios:
             entry = {"noise_ratio": ratio}
             for method in METHODS:
-                config = make_config(
-                    model,
-                    "cifar10_like",
-                    method,
-                    profile=profile,
-                    seed=seed,
-                    label_noise=ratio,
-                )
-                kwargs = dict(runner_kwargs)
-                if cache_dir is not None:
-                    kwargs["cache_dir"] = cache_dir
-                result = run_training(config, **kwargs)
-                entry[method] = result.test_acc
+                entry[method] = next(results).test_acc
             rows.append(entry)
         panels[model] = rows
     return {"panels": panels, "profile": profile}

@@ -10,8 +10,8 @@ the Hessian term is necessary, not just the perturbed gradient.
 from ..quant import QuantScheme, evaluate_quantized
 from .config import make_config
 from .reporting import format_table
-from .runner import accuracy_eval_fn, load_experiment_data, run_training
-from .sweep import warm_for
+from .runner import accuracy_eval_fn, load_experiment_data
+from .sweep import train_runs
 
 METHODS = ("hero", "first_order", "sgd")
 BITS = (4, 6, 8)
@@ -26,22 +26,13 @@ def table3_configs(profile="fast", seed=0, model="MobileNetV2"):
 
 
 def run_table3(
-    profile="fast", cache_dir=None, seed=0, model="MobileNetV2", workers=None, **runner_kwargs
+    profile="fast", cache_dir=None, seed=0, model="MobileNetV2", workers=None, force=False
 ):
     """Train the three arms and sweep PTQ at the paper's precisions."""
-    warm_for(
-        table3_configs(profile=profile, seed=seed, model=model),
-        runner_kwargs,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
+    configs = table3_configs(profile=profile, seed=seed, model=model)
+    results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     rows = []
-    for method in METHODS:
-        config = make_config(model, "cifar10_like", method, profile=profile, seed=seed)
-        kwargs = dict(runner_kwargs)
-        if cache_dir is not None:
-            kwargs["cache_dir"] = cache_dir
-        result = run_training(config, **kwargs)
+    for method, config, result in zip(METHODS, configs, results):
         _train, test, _spec = load_experiment_data(config)
         eval_fn = accuracy_eval_fn(test)
         entry = {"method": method, "full": result.test_acc}

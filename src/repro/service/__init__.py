@@ -28,7 +28,6 @@ from .supervisor import (
     SUPERVISOR_VERSION,
     FleetSupervisor,
     discover_queues,
-    fleet_worker_loop,
     read_supervisor_state,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "SUPERVISOR_VERSION",
     "FleetSupervisor",
     "discover_queues",
-    "fleet_worker_loop",
     "read_supervisor_state",
 ]

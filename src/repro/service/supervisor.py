@@ -2,11 +2,13 @@
 
 A parallel ``run_sweep`` spawns workers, drains one grid and exits.
 :class:`FleetSupervisor` inverts that lifecycle: the *workers* are the
-long-lived thing, and sweeps come and go around them.  Each
-fleet worker scans every queue under the run cache round-robin —
-claiming one task per queue per pass, so a late-enqueued sweep is
-served without waiting for an earlier grid to finish — and a
-supervisor process watches the pool:
+long-lived thing, and sweeps come and go around them.  Each fleet
+worker runs the scheduler's one
+:func:`~repro.experiments.scheduler.worker_loop` over every queue under
+the run cache — one claim per queue per pass, so a late-enqueued sweep
+is served without waiting for an earlier grid to finish — with
+``until=None``, so it never exits on drain; a supervisor process
+watches the pool:
 
 * **Restart** — a worker that dies (SIGKILL, OOM, segfault) is
   detected by its process handle and respawned under a fresh identity;
@@ -38,12 +40,7 @@ import time
 import uuid
 from multiprocessing import get_context
 
-from ..experiments.scheduler import (
-    QUEUE_SUBDIR,
-    TaskQueue,
-    _worker_log,
-    run_claimed_task,
-)
+from ..experiments.scheduler import TaskQueue, discover_queues, worker_loop
 from ..io import atomic_write_json, read_json
 from ..messages import MessageError, SupervisorStateV1, SupervisorWorkerV1
 from ..messages import parse as parse_message
@@ -60,128 +57,38 @@ SUPERVISOR_VERSION = SupervisorStateV1.VERSION
 DEFAULT_MAX_RESTARTS = 100
 
 
-def discover_queues(cache_dir, queues=None):
-    """Roots of every live queue under ``cache_dir`` (sorted).
+def _fleet_worker(task):
+    """Process entry point of a supervised fleet worker (picklable).
 
-    A queue is live once its ``meta.json`` exists.  ``queues``
-    optionally restricts to an iterable of queue names — the knob for
-    pointing a fleet at a subset of the cache's queues.
-    """
-    queues_dir = os.path.join(os.path.abspath(cache_dir), QUEUE_SUBDIR)
-    if not os.path.isdir(queues_dir):
-        return []
-    wanted = set(queues) if queues is not None else None
-    roots = []
-    for name in sorted(os.listdir(queues_dir)):
-        if wanted is not None and name not in wanted:
-            continue
-        root = os.path.join(queues_dir, name)
-        if os.path.exists(os.path.join(root, "meta.json")):
-            roots.append(root)
-    return roots
-
-
-def fleet_worker_loop(
-    cache_dir,
-    worker,
-    queues=None,
-    poll=0.5,
-    heartbeat_interval=DEFAULT_INTERVAL,
-    callback_factory=None,
-    stop_when_drained=False,
-    max_seconds=None,
-):
-    """A resident multi-queue worker; returns tasks executed.
-
-    Unlike :func:`repro.experiments.scheduler.worker_loop` (one queue,
-    exit on drain), this loop serves *every* queue under the cache
-    round-robin — one claim per queue per pass — and by default never
-    exits: a drained cache just means napping ``poll`` seconds until
-    the next sweep enqueues work.  ``stop_when_drained`` restores
-    drain-and-exit semantics (used by bounded drills);
-    ``max_seconds`` is a hard wall-clock safety for both modes.
-
-    SIGTERM (the supervisor's stop signal) triggers a clean exit with
+    ``task`` is ``(cache_dir, worker, queues, poll, heartbeat_interval,
+    callback_factory)``.  Builds the worker's heartbeat and runs the
+    shared :func:`repro.experiments.scheduler.worker_loop` over every
+    queue under the cache with ``until=None``: it never exits on drain.
+    SIGTERM (the supervisor's stop signal) and Ctrl-C exit cleanly with
     a final ``exited`` heartbeat; SIGKILL leaves the heartbeat file to
     age into ``dead`` — exactly the signal ``queue-status`` reports.
     """
+    cache_dir, worker, queues, poll, heartbeat_interval, callback_factory = task
+    signal.signal(signal.SIGTERM, lambda _signum, _frame: sys.exit(0))
     heartbeat = Heartbeat(cache_dir, worker, interval=heartbeat_interval)
-    heartbeat.beat("idle", force=True)
-
-    def terminate(_signum, _frame):
-        heartbeat.close()
-        sys.exit(0)
-
-    signal.signal(signal.SIGTERM, terminate)
-    started = time.monotonic()
-    executed = 0
-    logs = {}
-
-    def queue_log(root):
-        if root not in logs:
-            logs[root] = _worker_log(TaskQueue(root), worker)
-        return logs[root][1]
-
     try:
-        while True:
-            if max_seconds is not None and time.monotonic() - started >= max_seconds:
-                break
-            roots = discover_queues(cache_dir, queues)
-            claimed_any = False
-            all_drained = bool(roots)
-            for root in roots:
-                queue = TaskQueue(root)
-                try:
-                    entry = queue.claim(worker)
-                except FileNotFoundError:
-                    continue  # queue deleted between discovery and claim
-                if entry is None:
-                    all_drained = all_drained and queue.drained()
-                    continue
-                claimed_any, all_drained = True, False
-                log = queue_log(root)
-                stolen = " (stolen)" if entry["attempts"] > 1 else ""
-                log(f"claimed {entry['key']} attempt={entry['attempts']}{stolen}")
-                heartbeat.beat("running", queue=root, key=entry["key"], force=True)
-                run_claimed_task(
-                    queue, entry, worker,
-                    callback_factory=callback_factory, heartbeat=heartbeat, log=log,
-                )
-                executed += 1
-                heartbeat.tasks_done += 1
-                heartbeat.beat("idle", queue=root, force=True)
-            if claimed_any:
-                continue
-            if stop_when_drained and all_drained:
-                break
-            heartbeat.beat("idle")
-            time.sleep(poll)
+        heartbeat.beat("idle", force=True)
+        worker_loop(
+            cache_dir=cache_dir,
+            queues=queues,
+            worker=worker,
+            poll=poll,
+            until=None,
+            callback_factory=callback_factory,
+            heartbeat=heartbeat,
+        )
     except KeyboardInterrupt:
         # Ctrl-C in a foreground `serve` reaches the whole process
         # group; exit as cleanly as the SIGTERM path (the supervisor
         # is tearing the pool down anyway).
         pass
     finally:
-        for fh, _log in logs.values():
-            fh.close()
         heartbeat.close()
-    return executed
-
-
-def _fleet_worker_main(task):
-    """Process entry point for supervised fleet workers (picklable)."""
-    (cache_dir, worker, queues, poll, heartbeat_interval, callback_factory,
-     stop_when_drained, max_seconds) = task
-    return fleet_worker_loop(
-        cache_dir,
-        worker,
-        queues=queues,
-        poll=poll,
-        heartbeat_interval=heartbeat_interval,
-        callback_factory=callback_factory,
-        stop_when_drained=stop_when_drained,
-        max_seconds=max_seconds,
-    )
 
 
 def read_supervisor_state(cache_dir):
@@ -302,7 +209,7 @@ class FleetSupervisor:
             f"@{socket.gethostname()}"
         )
         proc = self.ctx.Process(
-            target=_fleet_worker_main,
+            target=_fleet_worker,
             args=(
                 (
                     self.cache_dir,
@@ -311,8 +218,6 @@ class FleetSupervisor:
                     self.worker_poll,
                     self.heartbeat_interval,
                     self.callback_factory,
-                    False,
-                    None,
                 ),
             ),
             daemon=False,

@@ -136,6 +136,44 @@ class TestAblations:
         result = ex.run_gamma_grid(profile="smoke", cache_dir=cache_dir, gammas=(0.01, 0.1))
         assert len(result["rows"]) == 2
 
+    def test_regularizer_reads_its_finite_diff_arm_from_cache(self, cache_dir, monkeypatch):
+        """The finite_diff arm is the base config: with it cached, only
+        exact_hvp trains, and its row is the layer-adaptive row."""
+        from repro.core import Trainer
+
+        perturbation = ex.run_perturbation_ablation(profile="smoke", cache_dir=cache_dir)
+        fits = []
+        real_fit = Trainer.fit
+
+        def counting_fit(trainer, *args, **kwargs):
+            fits.append(trainer.regularizer)
+            return real_fit(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", counting_fit)
+        result = ex.run_regularizer_ablation(profile="smoke", cache_dir=cache_dir)
+        assert fits == ["exact_hvp"]
+        finite_diff, exact_hvp = result["rows"]
+        assert finite_diff["variant"] == "finite_diff" and exact_hvp["variant"] == "exact_hvp"
+        (layer_adaptive,) = [r for r in perturbation["rows"] if r["variant"] == "layer_adaptive"]
+        assert dict(finite_diff, variant="layer_adaptive") == layer_adaptive
+
+    def test_inline_arm_trains_like_the_cached_run(self, cache_dir):
+        """exact_hvp's inline loop, run with finite_diff, reproduces the
+        cached base run bit for bit — so the two arms are like for like."""
+        import numpy as np
+
+        from repro.experiments.ablations import _train_with_regularizer
+
+        config = ex.make_config("ResNet20-fast", "cifar10_like", "hero", profile="smoke")
+        cached = ex.run_training(config, cache_dir=cache_dir)
+        inline = _train_with_regularizer(config, "finite_diff")
+        assert (inline.train_acc, inline.test_acc) == (cached.train_acc, cached.test_acc)
+        expected = cached.model.state_dict()
+        actual = inline.model.state_dict()
+        assert list(actual) == list(expected)
+        for name, value in expected.items():
+            np.testing.assert_array_equal(actual[name], value, err_msg=name)
+
 
 class TestQATMotivation:
     def test_structure(self, cache_dir):

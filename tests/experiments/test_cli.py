@@ -131,6 +131,19 @@ class TestRunArtifact:
             payload = json.load(fh)
         assert "rows" in payload
 
+    def test_ablations_honour_seed(self, tmp_path, monkeypatch):
+        """``ablations`` takes --seed (and --no-cache) like every artifact."""
+        import os
+
+        from repro.experiments import ablation_configs
+        from repro.experiments.runner import _cache_complete
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_artifact("ablations", "smoke", seed=3, out=io.StringIO())
+        for seed, cached in ((3, True), (0, False)):
+            for config in ablation_configs(profile="smoke", seed=seed):
+                assert _cache_complete(os.path.join(str(tmp_path), config.cache_key())) is cached
+
     @pytest.mark.slow
     def test_fig3_smoke(self):
         out = io.StringIO()

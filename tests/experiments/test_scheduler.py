@@ -480,6 +480,38 @@ class TestFaultInjection:
         assert report.stolen == 2
 
 
+class TestWorkerLoop:
+    """The one claim loop: ``until`` and the one-claim-per-queue pass."""
+
+    def test_one_claim_per_queue_per_pass(self, tmp_run_cache, tiny_grid):
+        queues = [TaskQueue.create(tmp_run_cache, name) for name in ("a", "b")]
+        for queue in queues:
+            queue.enqueue(pinned(tiny_grid(2)))
+        executed = worker_loop(cache_dir=tmp_run_cache, worker="w", until="idle", max_tasks=2)
+        assert executed == 2
+        assert [queue.counts()[DONE] for queue in queues] == [1, 1]
+
+    def test_idle_exits_where_drained_naps(self, tmp_run_cache, tiny_grid):
+        queue = TaskQueue.create(tmp_run_cache, "q")
+        queue.enqueue(pinned(tiny_grid(1)))
+        queue.claim("live:1:0")  # leased, far from expiry: nothing runnable
+        started = time.monotonic()
+        assert worker_loop(queue.root, worker="w", until="idle", poll=0.01) == 0
+        assert time.monotonic() - started < 5
+        # not drained: the drain rule keeps napping until max_seconds
+        assert worker_loop(queue.root, worker="w", poll=0.01, max_seconds=0.2) == 0
+        assert time.monotonic() - started >= 0.2
+
+    def test_arguments_validated(self, tmp_run_cache):
+        root = TaskQueue.create(tmp_run_cache, "q").root
+        with pytest.raises(ValueError, match="until"):
+            worker_loop(root, until="forever")
+        with pytest.raises(ValueError, match="cache_dir"):
+            worker_loop()
+        with pytest.raises(ValueError, match="cache_dir"):
+            worker_loop(root, cache_dir=tmp_run_cache)
+
+
 class TestWorkerCLI:
     def test_worker_verb_parses(self):
         args = build_parser().parse_args(
@@ -628,15 +660,10 @@ class TestQueueFromBeforeTheIndex:
         self.assert_drained(queue, configs, DONE)
 
     def test_fleet_worker_touches_it_first(self, tmp_run_cache, tiny_grid):
-        from repro.service.supervisor import fleet_worker_loop
-
         queue, configs = self.legacy_queue(tmp_run_cache, tiny_grid)
-        previous = signal.getsignal(signal.SIGTERM)  # the loop installs its own
-        try:
-            executed = fleet_worker_loop(
-                tmp_run_cache, "fleet-0", poll=0.01, stop_when_drained=True, max_seconds=120
-            )
-        finally:
-            signal.signal(signal.SIGTERM, previous)
+        # the fleet's loop: every queue under the cache, one claim per pass
+        executed = worker_loop(
+            cache_dir=tmp_run_cache, worker="fleet-0", poll=0.01, until="drained", max_seconds=120
+        )
         assert executed == 2
         self.assert_drained(queue, configs, ERROR)

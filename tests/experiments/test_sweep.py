@@ -21,7 +21,7 @@ from repro.experiments import (
     run_table3,
     run_training,
     format_sweep,
-    warm_cache,
+    train_runs,
 )
 from repro.experiments.cli import build_parser, run_sweep_command
 from repro.experiments.runner import _cache_complete, default_cache_dir
@@ -180,17 +180,69 @@ class TestFileLock:
             run_sweep(tiny_grid(2), workers=2, cache_dir=None)
 
 
-class TestWarmCache:
-    def test_serial_is_noop(self, tmp_path, tiny_grid):
-        assert warm_cache(tiny_grid(2), workers=1, cache_dir=str(tmp_path)) is None
-        assert os.listdir(tmp_path) == []
+def _published_at(cache_dir, configs):
+    return [
+        os.stat(os.path.join(cache_dir, config.cache_key(), "metrics.json")).st_mtime_ns
+        for config in configs
+    ]
 
-    def test_parallel_populates_cache(self, tmp_path, tiny_grid):
+
+class TestTrainRuns:
+    def test_serial_trains_in_process_in_order(self, tmp_path, tiny_grid, monkeypatch):
+        from repro.experiments import sweep
+
+        trained = []
+
+        def recording(config, **kwargs):
+            trained.append((config.cache_key(), os.getpid()))
+            return run_training(config, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_training", recording)
         configs = tiny_grid(2)
-        report = warm_cache(configs, workers=2, cache_dir=str(tmp_path))
-        assert report is not None and report.n_ok == 2
+        runs = train_runs(configs, workers=1, cache_dir=str(tmp_path))
+        first = next(runs)
+        # results come on demand: the second config has not trained yet
+        assert trained == [(configs[0].cache_key(), os.getpid())]
+        results = [first, *runs]
+        assert trained == [(config.cache_key(), os.getpid()) for config in configs]
+        assert [r.config for r in results] == configs
+        assert not any(r.from_cache for r in results)
+        assert not os.path.exists(tmp_path / "queue")
+
+    def test_serial_propagates_a_run_exception(self, tmp_path, tiny_grid):
+        good = tiny_grid(1)
+        bad = good[0].with_overrides(dataset="no_such_dataset")
+        with pytest.raises(Exception, match="no_such_dataset"):
+            list(train_runs(good + [bad], workers=1, cache_dir=str(tmp_path)))
+        assert _cache_complete(os.path.join(str(tmp_path), good[0].cache_key()))
+        assert not os.path.exists(tmp_path / "queue")
+
+    def test_parallel_fills_cache_and_reads_back(self, tmp_path, tiny_grid):
+        configs = tiny_grid(2)
+        results = list(train_runs(configs, workers=2, cache_dir=str(tmp_path / "queued")))
+        assert [r.config for r in results] == configs
+        assert all(r.from_cache for r in results)
         for config in configs:
-            assert _cache_complete(os.path.join(str(tmp_path), config.cache_key()))
+            assert _cache_complete(os.path.join(str(tmp_path / "queued"), config.cache_key()))
+        # sweep-spawned workers exit on idle and beat no heartbeat
+        assert not os.path.exists(tmp_path / "queued" / "service")
+        serial = list(train_runs(configs, workers=1, cache_dir=str(tmp_path / "serial")))
+        assert [r.test_acc for r in results] == [r.test_acc for r in serial]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_force_retrains_each_config_once(self, tmp_path, tiny_grid, workers):
+        configs = tiny_grid(2)
+        cache = str(tmp_path)
+        list(train_runs(configs, workers=1, cache_dir=cache))
+        before = _published_at(cache, configs)
+        results = list(
+            train_runs(configs + configs[:1], workers=workers, cache_dir=cache, force=True)
+        )
+        assert all(b > a for a, b in zip(before, _published_at(cache, configs)))
+        # only the pass that trains is forced: a repeat, or the
+        # parallel path's read-back, loads what that pass published
+        expected = [False, False, True] if workers == 1 else [True, True, True]
+        assert [r.from_cache for r in results] == expected
 
 
 class TestDatasetWarmup:
@@ -232,14 +284,15 @@ class TestDriversParallel:
         assert serial["rows"] == parallel["rows"]
 
     @pytest.mark.slow
-    def test_fig2_parallel_retrains_stale_cache_entries(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fig2_parallel_retrains_stale_cache_entries(self, tmp_path, workers):
         # Another experiment caches the same configs without callbacks…
         from repro.experiments import fig2_configs, run_fig2
 
         for config in fig2_configs(profile="smoke"):
             run_training(config, cache_dir=str(tmp_path))
-        # …fig2's parallel pass must still end up with ||Hz|| columns.
-        result = run_fig2(profile="smoke", cache_dir=str(tmp_path), workers=2)
+        # …fig2 must still end up with ||Hz|| columns, serial or parallel.
+        result = run_fig2(profile="smoke", cache_dir=str(tmp_path), workers=workers)
         for method, data in result["series"].items():
             assert any(v is not None for v in data["hessian_norm"]), method
 

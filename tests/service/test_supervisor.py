@@ -21,6 +21,7 @@ from repro.service import (
     FleetSupervisor,
     build_status,
     discover_queues,
+    read_heartbeats,
     read_supervisor_state,
 )
 from repro.tensor import dtype_name
@@ -83,7 +84,7 @@ class TestPatrol:
         queue.enqueue(bad)
         key = bad[0].cache_key()
 
-        worker_loop(queue.root, worker="w-1", wait=False)
+        worker_loop(queue.root, worker="w-1", until="idle")
         entry = queue.journal.read(key)
         assert entry["status"] == ERROR and entry["attempts"] == 1
 
@@ -91,7 +92,7 @@ class TestPatrol:
         assert queue.retry_errors() == ([key], [])
         assert queue.journal.read(key)["status"] == PENDING
 
-        worker_loop(queue.root, worker="w-2", wait=False)
+        worker_loop(queue.root, worker="w-2", until="idle")
         entry = queue.journal.read(key)
         assert entry["status"] == ERROR and entry["attempts"] == 2
 
@@ -109,7 +110,7 @@ class TestPatrol:
         for name in ("qa", "qb"):
             queue = TaskQueue.create(tmp_run_cache, name, max_attempts=1)
             queue.enqueue(bad)
-            worker_loop(queue.root, worker="w", wait=False)
+            worker_loop(queue.root, worker="w", until="idle")
         supervisor = make_supervisor(tmp_run_cache, workers=1, patrol=True)
         # patrol without ever starting the pool: monitor_once on an
         # unstarted supervisor still sweeps the queues
@@ -119,6 +120,21 @@ class TestPatrol:
         for name in ("qa", "qb"):
             root = os.path.join(tmp_run_cache, "queue", name)
             assert TaskQueue(root).journal.read(bad[0].cache_key())["status"] == QUARANTINED
+
+
+class TestFleetWorker:
+    def test_sigterm_writes_exited_heartbeat(self, tmp_run_cache):
+        supervisor = make_supervisor(tmp_run_cache, workers=1)
+        supervisor.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not read_heartbeats(tmp_run_cache) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            supervisor.stop()  # SIGTERM
+        (beat,) = read_heartbeats(tmp_run_cache)
+        assert beat["state"] == "exited"
+        assert supervisor.slots[0]["proc"].exitcode == 0
 
 
 @pytest.mark.slow
