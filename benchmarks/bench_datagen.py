@@ -1,18 +1,18 @@
 """Dataset-generation pipeline benchmark: loop vs vectorized vs sharded.
 
 The seed generator built every image in a per-sample Python loop; the
-pipeline (``repro.data.pipeline``) vectorizes the sampler, shards large
-datasets across processes, and memoizes whole datasets under an on-disk
-cache that sweep workers memory-map.  This bench quantifies each stage
+pipeline (``repro.data.pipeline``) vectorizes the sampler, draws large
+datasets shard by shard from per-shard streams, and memoizes whole
+datasets under an on-disk cache that sweep workers memory-map.  This bench quantifies each stage
 on the default profile:
 
 * ``loop`` — the seed per-image sampler (kept as the parity reference).
 * ``vectorized`` — the batched sampler, bit-identical stream to the loop.
 * ``sharded`` — the v2 sharded generator (engine-dtype native, per-shard
-  spawned streams), serial and with a worker pool.
-* ``cache_store`` / ``cache_load`` — cold streamed write and warm
-  memory-map of the dataset cache (a warm sweep performs zero
-  generation work).
+  spawned streams).
+* ``cache_store`` / ``cache_load`` — cold streamed write
+  (``stream_dataset``) and warm memory-map of the dataset cache (a warm
+  sweep performs zero generation work).
 * ``rss`` — the **peak-RSS axis**, each side measured in a fresh
   subprocess: in-RAM ``generate_dataset`` (the whole dataset resident)
   vs the streamed cache write (shards written straight into the staged
@@ -31,7 +31,6 @@ Standalone smoke mode (no pytest-benchmark needed — used by CI)::
 import argparse
 import gc
 import json
-import os
 import shutil
 import tempfile
 import time
@@ -111,9 +110,9 @@ def _rss_probe(mode, train_size, shard_size, cache_dir, conn):
     _reset_peak_rss()
     before = _proc_status_kb("VmRSS")
     if mode == "streamed":
-        stream_dataset(spec, cache_dir, workers=1, shard_size=shard_size)
+        stream_dataset(spec, cache_dir, shard_size=shard_size)
     else:
-        generate_dataset(spec, workers=1, shard_size=shard_size)
+        generate_dataset(spec, shard_size=shard_size)
     peak = _proc_status_kb("VmHWM")
     conn.send({"before_kb": before, "peak_kb": peak})
     conn.close()
@@ -204,7 +203,6 @@ def _best_of(fn, rounds=3, warmup=1):
 
 def run_smoke(
     train_size=50_000,
-    workers=None,
     rounds=3,
     rss=True,
     rss_shards=4,
@@ -219,19 +217,14 @@ def run_smoke(
     peak-RSS axis (``rss`` key, see :func:`run_rss_axis`) compares the
     in-RAM and streamed working sets.
     """
-    workers = workers or (os.cpu_count() or 1)
     spec, prototypes, labels = _setup(train_size)
     results = {
         "profile": PROFILE,
         "train_size": spec.train_size,
-        "workers": workers,
         "rounds": rounds,
     }
 
-    t_shard, _ = _best_of(lambda: generate_dataset(spec, workers=1), rounds)
-    t_pool = None
-    if workers > 1:
-        t_pool, _ = _best_of(lambda: generate_dataset(spec, workers=workers), rounds)
+    t_shard, _ = _best_of(lambda: generate_dataset(spec), rounds)
 
     # Sampler-level parity check (cheap: one small draw, exact equality).
     small = labels[:2048]
@@ -249,34 +242,30 @@ def run_smoke(
     out(f"seed loop:            {t_loop:8.3f}s  ({spec.train_size}+{spec.test_size} samples)")
     out(f"vectorized (parity):  {t_vec:8.3f}s  -> {t_loop / t_vec:.1f}x")
     out(f"sharded, serial:      {t_shard:8.3f}s  -> {t_loop / t_shard:.1f}x")
-    if t_pool is not None:
-        out(f"sharded, {workers} workers:  {t_pool:8.3f}s  -> {t_loop / t_pool:.1f}x")
 
     cache_dir = tempfile.mkdtemp(prefix="bench-datagen-cache.")
     try:
         start = time.perf_counter()
-        load_or_generate(spec, cache_dir=cache_dir, workers=workers)
+        stream_dataset(spec, cache_dir)
         t_store = time.perf_counter() - start
         start = time.perf_counter()
-        load_or_generate(spec, cache_dir=cache_dir, workers=workers)
+        load_or_generate(spec, cache_dir=cache_dir)
         t_load = time.perf_counter() - start
         out(f"cache cold streamed:  {t_store:8.3f}s")
         out(f"cache warm mmap load: {t_load:8.3f}s  (zero generation work)")
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    best_sharded = min(t_shard, t_pool) if t_pool is not None else t_shard
     results["runs"] = {
         "loop_seconds": t_loop,
         "vectorized_seconds": t_vec,
         "sharded_serial_seconds": t_shard,
-        "sharded_pool_seconds": t_pool,
         "cache_store_seconds": t_store,
         "cache_load_seconds": t_load,
     }
     results["speedups"] = {
         "vectorized": t_loop / t_vec,
-        "sharded": t_loop / best_sharded,
+        "sharded": t_loop / t_shard,
     }
     if rss:
         try:
@@ -293,9 +282,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--train-size", type=int, default=50_000, help="samples to generate (default: 50k)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="pool size for the sharded pass"
     )
     parser.add_argument(
         "--no-rss",
@@ -318,7 +304,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     results = run_smoke(
         train_size=args.train_size,
-        workers=args.workers,
         rss=not args.no_rss,
         rss_shards=args.rss_shards,
         rss_shard_size=args.rss_shard_size,

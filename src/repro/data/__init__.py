@@ -15,7 +15,6 @@ from .pipeline import (
     load_or_generate,
     plan_shards,
     resolve_spec,
-    warm_dataset,
 )
 from .streaming import StreamReport, evict, stream_dataset
 from .toy import two_moons, spirals, gaussian_blobs, train_test_split
@@ -30,7 +29,6 @@ __all__ = [
     "load_or_generate",
     "plan_shards",
     "resolve_spec",
-    "warm_dataset",
     "StreamReport",
     "evict",
     "stream_dataset",

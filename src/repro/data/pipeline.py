@@ -8,11 +8,11 @@ usable on its own:
    per-image loop (same RNG stream, same float64 arithmetic, same cast).
 2. **Sharded generation** — :func:`generate_dataset` splits large
    datasets into fixed-size shards, each drawn from its own
-   ``np.random.SeedSequence``-spawned stream, and optionally fans the
-   shards out over a ``multiprocessing`` pool.  Shard layout is a pure
-   function of the spec and ``shard_size`` — **worker count never
-   changes the data**, so parallel generation is bit-identical to
-   serial sharded generation.
+   ``np.random.SeedSequence``-spawned stream, one after another in the
+   calling process.  Shard layout is a pure function of the spec and
+   ``shard_size``, so the data never depends on which shards were
+   drawn first or in which call (the streaming writer's resume relies
+   on this).
 3. **On-disk dataset cache** — :func:`load_or_generate` memoizes whole
    generated datasets under a content-addressed directory cache
    (:class:`repro.io.DirectoryCache`: atomic rename, per-key
@@ -20,11 +20,11 @@ usable on its own:
    shard writer (:mod:`repro.data.streaming`) straight into a staged
    entry: pre-allocated memmaps, a per-shard completion journal
    (interrupted generation resumes only missing shards), peak RSS near
-   one shard per writer.  A one-shard split is the v1 stream written
-   into its memmap, so the bytes match in-RAM :func:`generate_dataset`
-   exactly.  A warm entry is **memory-mapped**, so many sweep workers
-   share one copy of the arrays instead of each regenerating them.
-   See ``docs/memory-model.md``.
+   one shard.  A one-shard split is the v1 stream written into its
+   memmap, so the bytes match in-RAM :func:`generate_dataset` exactly.
+   A warm entry is **memory-mapped**, so many sweep workers share one
+   copy of the arrays instead of each regenerating them.  See
+   ``docs/memory-model.md``.
 
 Generator versions
 ------------------
@@ -37,29 +37,29 @@ entries (or different shard layouts) can never be confused.
 
 Examples
 --------
-Generate a million-sample dataset across 8 processes, cached on disk::
+Generate a million-sample dataset, cached on disk::
 
     from repro.data import PROFILES, load_or_generate
     from dataclasses import replace
 
     spec = replace(PROFILES["cifar10_like"], train_size=1_000_000)
-    train, test = load_or_generate(spec, cache_dir=".cache/runs/datasets",
-                                   workers=8)   # second call: mmap, no work
+    train, test = load_or_generate(spec, cache_dir=".cache/runs/datasets")
+    # second call: mmap, no work
 
 Let the environment drive it (the same knobs the sweep engine uses)::
 
-    REPRO_WORKERS=8 REPRO_DTYPE=float32 REPRO_CACHE_DIR=/tmp/repro \\
+    REPRO_DTYPE=float32 REPRO_CACHE_DIR=/tmp/repro \\
         python -m repro.experiments datagen --train-size 1000000
 
 Pre-warm the cache the sweep workers will memory-map::
 
     python -m repro.experiments datagen --datasets cifar10_like,cifar100_like
 
-Environment variables: ``REPRO_WORKERS`` (default generation
-parallelism), ``REPRO_DTYPE`` (engine dtype — part of the cache key),
-``REPRO_CACHE_DIR`` (run-cache root; the dataset cache lives in its
-``datasets/`` subdirectory), ``REPRO_DATASET_CACHE`` (override the
-dataset-cache location, or ``off`` to disable disk caching).
+Environment variables: ``REPRO_DTYPE`` (engine dtype — part of the
+cache key), ``REPRO_CACHE_DIR`` (run-cache root; the dataset cache
+lives in its ``datasets/`` subdirectory), ``REPRO_DATASET_CACHE``
+(override the dataset-cache location, or ``off`` to disable disk
+caching).
 """
 
 import hashlib
@@ -67,12 +67,11 @@ import json
 import os
 import re
 from dataclasses import asdict, replace
-from multiprocessing import get_context
 
 import numpy as np
 
 from ..io import DirectoryCache
-from ..tensor import default_dtype, dtype_context, dtype_name
+from ..tensor import default_dtype, dtype_name
 from .dataset import ArrayDataset
 from .synthetic import (
     PROFILES,
@@ -94,10 +93,6 @@ GENERATOR_VERSION = 2
 #: (a path, or ``0``/``off``/``none`` to disable disk caching).
 DATASET_CACHE_ENV = "REPRO_DATASET_CACHE"
 
-#: Environment variable naming the default generation parallelism
-#: (shared with the sweep engine).
-WORKERS_ENV = "REPRO_WORKERS"
-
 #: Per-split seed offsets — match the legacy generator's
 #: ``default_rng(seed + 1)`` / ``default_rng(seed + 2)`` split streams.
 TRAIN_SPLIT, TEST_SPLIT = 1, 2
@@ -112,28 +107,16 @@ DATASET_MANIFEST = (
 )
 
 
-def resolve_workers(workers=None):
-    """Resolve a worker count: explicit arg > ``REPRO_WORKERS`` > serial (1).
-
-    The single implementation behind both dataset generation and the
-    sweep engine (:mod:`repro.experiments.sweep` re-exports it), so the
-    two layers can never disagree about what ``REPRO_WORKERS`` means.
-    """
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return max(1, int(workers))
-
-
 def resolve_spec(profile, seed=None, train_size=None, test_size=None):
-    """The :class:`SyntheticSpec` a profile + overrides resolves to."""
+    """The :class:`SyntheticSpec` a profile + overrides resolves to.
+
+    A split size below 1 raises :class:`ValueError` naming the field.
+    """
     if profile not in PROFILES:
         raise KeyError(f"unknown dataset profile {profile!r}; have {sorted(PROFILES)}")
+    for name, size in (("train_size", train_size), ("test_size", test_size)):
+        if size is not None and size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size!r}")
     spec = PROFILES[profile]
     overrides = {
         key: value
@@ -208,10 +191,10 @@ def _shard_rng(spec, split_offset, shard_index):
 
     ``SeedSequence(spec.seed, spawn_key=(split, shard))`` gives every
     shard a statistically independent stream that depends only on the
-    spec seed and the shard's coordinates — never on worker count or
-    execution order.  The sharded generator rides ``SFC64`` (the
-    fastest numpy bit generator at bulk normal draws); this choice is
-    part of the v2 stream definition.
+    spec seed and the shard's coordinates — never on execution order,
+    so a resumed write draws the same bytes.  The sharded generator
+    rides ``SFC64`` (the fastest numpy bit generator at bulk normal
+    draws); this choice is part of the v2 stream definition.
     """
     seq = np.random.SeedSequence(spec.seed, spawn_key=(split_offset, shard_index))
     return np.random.Generator(np.random.SFC64(seq))
@@ -301,79 +284,35 @@ def _sample_images_fast(spec, table, labels, rng, out=None):
     return out
 
 
-def _shard_task(task):
-    """Pool entry point: draw one shard's images in a worker process.
-
-    Module-level so it pickles under ``spawn``.  The prototype table is
-    recomputed from the spec seed inside the worker (milliseconds) so
-    only the spec and the shard's label slice cross the process
-    boundary.
-    """
-    spec, labels, split_offset, shard_index, dtype = task
-    with dtype_context(dtype):
-        prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))
-        table = _prototype_table(spec, prototypes)
-        rng = _shard_rng(spec, split_offset, shard_index)
-        images = _sample_images_fast(spec, table, labels, rng)
-    return split_offset, shard_index, images
-
-
-def generate_dataset(spec, workers=None, shard_size=None, mp_context="spawn"):
+def generate_dataset(spec, shard_size=None):
     """Generate ``(train_dataset, test_dataset)``, sharded when large.
 
     Splits small enough for one shard use the legacy single-stream
     generator (bit-identical to :func:`repro.data.synthetic.generate_synthetic`);
-    larger splits are drawn shard-by-shard from per-shard spawned
-    streams, optionally across a ``workers``-process pool.  The output
-    depends only on ``(spec, shard_size)`` and the engine dtype —
-    never on ``workers``.
+    larger splits are drawn shard by shard from per-shard spawned
+    streams.  The output depends only on ``(spec, shard_size)`` and the
+    engine dtype.
     """
-    workers = resolve_workers(workers)
     shard_size = _resolve_shard_size(shard_size)
     prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))
-    size = spec.image_size
-
-    splits = {}  # split_offset -> (images, labels)
-    tasks = []  # (split_offset, shard_index, start, stop)
+    table = None
+    splits = []
     for split_offset, total in ((TRAIN_SPLIT, spec.train_size), (TEST_SPLIT, spec.test_size)):
         shards = plan_shards(total, shard_size)
         if len(shards) <= 1:
             split_rng = np.random.default_rng(spec.seed + split_offset)
-            images, labels = _generate_split(spec, prototypes, total, split_rng)
-            splits[split_offset] = (images, labels)
+            splits.append(ArrayDataset(*_generate_split(spec, prototypes, total, split_rng)))
             continue
-        labels = _split_labels_for(spec, split_offset)
-        images = np.empty((total, spec.channels, size, size), dtype=default_dtype())
-        splits[split_offset] = (images, labels)
-        for index, (start, stop) in enumerate(shards):
-            tasks.append((split_offset, index, start, stop))
-
-    if tasks:
-        dtype = dtype_name(None)
-        if workers > 1 and len(tasks) > 1:
-            payloads = [
-                (spec, splits[off][1][start:stop], off, index, dtype)
-                for off, index, start, stop in tasks
-            ]
-            ctx = get_context(mp_context)
-            with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-                for off, index, images in pool.imap_unordered(_shard_task, payloads):
-                    start = index * shard_size
-                    splits[off][0][start : start + len(images)] = images
-        else:
+        if table is None:
             table = _prototype_table(spec, prototypes)
-            for off, index, start, stop in tasks:
-                rng = _shard_rng(spec, off, index)
-                _sample_images_fast(
-                    spec,
-                    table,
-                    splits[off][1][start:stop],
-                    rng,
-                    out=splits[off][0][start:stop],
-                )
-
-    train = ArrayDataset(*splits[TRAIN_SPLIT])
-    test = ArrayDataset(*splits[TEST_SPLIT])
+        labels = _split_labels_for(spec, split_offset)
+        size = spec.image_size
+        images = np.empty((total, spec.channels, size, size), dtype=default_dtype())
+        for index, (start, stop) in enumerate(shards):
+            rng = _shard_rng(spec, split_offset, index)
+            _sample_images_fast(spec, table, labels[start:stop], rng, out=images[start:stop])
+        splits.append(ArrayDataset(images, labels))
+    train, test = splits
     return train, test
 
 
@@ -417,66 +356,21 @@ def _load_entry(path):
     return train, test
 
 
-def load_or_generate(
-    spec,
-    cache_dir=None,
-    workers=None,
-    shard_size=None,
-    mp_context="spawn",
-    max_resident_mb=None,
-):
+def load_or_generate(spec, cache_dir=None, shard_size=None):
     """Datasets for ``spec`` under the ambient engine dtype, cached on disk.
 
     With a ``cache_dir``, a warm entry is returned as memory-mapped
     arrays (zero generation work — the acceptance path for repeated
-    sweeps); a cold one is streamed shard-by-shard into the cache
+    sweeps); a cold one is streamed shard by shard into the cache
     (:func:`repro.data.streaming.stream_dataset`: resumable, ~one shard
-    resident per writer, ``max_resident_mb`` bounding the shards in
-    flight) and returned memory-mapped, like a warm hit.  Without a
+    resident) and returned memory-mapped, like a warm hit.  Without a
     ``cache_dir`` this is pure in-RAM generation, exactly as the seed
     code behaved.
     """
     if not cache_dir:
-        return generate_dataset(spec, workers=workers, shard_size=shard_size, mp_context=mp_context)
-    key, _hit = warm_dataset(
-        spec,
-        cache_dir,
-        workers=workers,
-        shard_size=shard_size,
-        mp_context=mp_context,
-        max_resident_mb=max_resident_mb,
-    )
-    # A complete entry is never committed again, so it is read unlocked.
-    return _load_entry(dataset_cache(cache_dir).entry_path(key))
-
-
-def warm_dataset(
-    spec,
-    cache_dir,
-    workers=None,
-    shard_size=None,
-    mp_context="spawn",
-    max_resident_mb=None,
-):
-    """Ensure the cache entry for ``spec`` exists; returns ``(key, hit)``.
-
-    ``hit`` is True when the entry was already complete (no generation
-    performed).  The sweep engine calls this for every unique dataset
-    signature in a grid *before* its workers start, so they
-    memory-map shared arrays instead of regenerating them.  Cold
-    entries stream shard-by-shard (``max_resident_mb`` bounds the
-    shards in flight), so warming a million-sample grid never
-    materializes a dataset in RAM; for per-shard accounting use
-    :func:`repro.data.streaming.stream_dataset` directly.
-    """
+        return generate_dataset(spec, shard_size=shard_size)
     from .streaming import stream_dataset  # streaming builds on this module
 
-    report = stream_dataset(
-        spec,
-        cache_dir,
-        workers=workers,
-        shard_size=shard_size,
-        max_resident_mb=max_resident_mb,
-        mp_context=mp_context,
-    )
-    return report.key, report.hit
+    report = stream_dataset(spec, cache_dir, shard_size=shard_size)
+    # A complete entry is never committed again, so it is read unlocked.
+    return _load_entry(report.path)

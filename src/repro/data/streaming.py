@@ -7,9 +7,9 @@ no cache directory):
 
 * **Pre-allocated memmaps** — the staged cache entry's ``.npy`` files
   are created up front (sparse, full final size) inside the
-  :class:`~repro.io.DirectoryCache` staging directory, and generation
-  workers write their **disjoint shard slices** directly into them.
-  The dataset is never whole in any process's memory.
+  :class:`~repro.io.DirectoryCache` staging directory, and the writer
+  draws each **shard slice** directly into them, one shard after
+  another.  The dataset is never whole in memory.
 * **A per-shard completion journal** — one :class:`~repro.io.JsonJournal`
   record per shard (``pending → writing → done``) lives next to the
   staged arrays.  An interrupted ``datagen`` (Ctrl-C, SIGKILL, machine
@@ -23,9 +23,7 @@ no cache directory):
   entry or a complete one.
 * **Bounded residency** — after each shard the writer flushes and
   drops its mapped pages (:func:`evict`), so peak RSS stays near one
-  shard per concurrent writer regardless of dataset size;
-  ``max_resident_mb`` additionally caps how many writers may hold a
-  shard in flight at once.
+  shard regardless of dataset size.
 
 The written bytes are **bit-identical to in-RAM generation**: a
 one-shard split is the legacy v1 stream written into its memmap, and
@@ -42,7 +40,6 @@ import os
 import shutil
 import time
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 from numpy.lib.format import open_memmap
@@ -50,7 +47,7 @@ from numpy.lib.format import open_memmap
 from ..io import JsonJournal, atomic_write_json, file_lock
 from ..messages import MessageError, ShardRecordV1
 from ..messages import parse as parse_message
-from ..tensor import default_dtype, dtype_context, dtype_name
+from ..tensor import default_dtype, dtype_name
 from .pipeline import (
     TEST_SPLIT,
     TRAIN_SPLIT,
@@ -62,7 +59,6 @@ from .pipeline import (
     dataset_cache,
     dataset_cache_key,
     plan_shards,
-    resolve_workers,
     split_generator_id,
 )
 from .synthetic import _class_prototypes, _generate_split
@@ -148,7 +144,6 @@ class StreamReport:
     hit: bool = False  #: entry was already complete; nothing was staged
     splits: list = field(default_factory=list)
     seconds: float = 0.0
-    workers: int = 1
 
     @property
     def total_shards(self):
@@ -170,7 +165,6 @@ class StreamReport:
             "shard_size": self.shard_size,
             "hit": self.hit,
             "seconds": self.seconds,
-            "workers": self.workers,
             "splits": [
                 {
                     "split": split.split,
@@ -314,24 +308,15 @@ def _write_shard(staging, spec, split, offset, index, start, stop, table):
                         start=start, stop=stop)
 
 
-def _stream_shard_task(task):
-    """Pool entry point: stream one shard in a worker process.
-
-    Module-level so it pickles under ``spawn``.  Only the spec and the
-    shard coordinates cross the process boundary — labels are read back
-    from the staged targets memmap, and the sampled images never leave
-    the worker except through the shared file.
-    """
-    staging, spec, split, offset, index, start, stop, dtype = task
-    with dtype_context(dtype):
-        prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))
-        table = _prototype_table(spec, prototypes)
-        _write_shard(staging, spec, split, offset, index, start, stop, table)
-    return split, index
-
-
 def _write_v1_split(staging, spec, split, offset):
-    """Write a single-shard split with the legacy (v1) generator stream."""
+    """Write a single-shard split with the legacy (v1) generator stream.
+
+    Journaled as shard 0, ``writing`` before the first byte and
+    ``done`` after the flush, like a v2 shard.
+    """
+    journal = shard_journal(staging)
+    key = shard_key(split, 0)
+    _journal_transition(journal, key, SHARD_WRITING, split=split, index=0)
     prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))
     split_rng = np.random.default_rng(spec.seed + offset)
     images, labels = _generate_split(
@@ -343,39 +328,23 @@ def _write_v1_split(staging, spec, split, offset):
     targets[:] = labels
     evict(inputs)
     evict(targets)
-
-
-def _resident_cap(spec, shard_size, max_resident_mb):
-    """How many shards may be in flight inside ``max_resident_mb``."""
-    if max_resident_mb is None:
-        return None
-    budget = int(max_resident_mb * 2**20)
-    return max(1, budget // max(1, shard_nbytes(spec, shard_size)))
+    _journal_transition(journal, key, SHARD_DONE, split=split, index=0)
 
 
 # ----------------------------------------------------------------------
 # The streaming writer
 # ----------------------------------------------------------------------
-def stream_dataset(
-    spec,
-    cache_dir,
-    workers=None,
-    shard_size=None,
-    max_resident_mb=None,
-    mp_context="spawn",
-    progress=None,
-):
+def stream_dataset(spec, cache_dir, shard_size=None, progress=None):
     """Generate ``spec``'s cache entry by streaming shards to disk.
 
     Resumable and bit-identical to in-RAM generation: shards already
     journaled ``done`` in the staging directory are skipped, the rest
-    are drawn from their per-shard streams directly into the staged
-    memmaps (``workers``-parallel, capped so at most
-    ``max_resident_mb`` worth of shards is in flight), and the entry is
-    committed atomically once the journal is fully ``done``.  Returns a
-    :class:`StreamReport`; ``progress`` (optional) is called as
-    ``progress(split, index, state)`` after each shard with ``state``
-    in ``("generated", "resumed")``.
+    are drawn one after another from their per-shard streams directly
+    into the staged memmaps, and the entry is committed atomically once
+    the journal is fully ``done``.  Returns a :class:`StreamReport`;
+    ``progress`` (optional) is called as ``progress(split, index,
+    state)`` for each shard with ``state`` in ``("generated",
+    "resumed")``, after a generated shard is journaled ``done``.
 
     Concurrent streamers of the same key serialize on a staging lock;
     the loser wakes up to a complete entry and reports a hit.  A
@@ -386,7 +355,6 @@ def stream_dataset(
         raise ValueError(
             "stream_dataset writes through the dataset cache; cache_dir is required"
         )
-    workers = resolve_workers(workers)
     shard_size = _resolve_shard_size(shard_size)
     cache = dataset_cache(cache_dir)
     key = dataset_cache_key(spec, dtype=None, shard_size=shard_size)
@@ -404,7 +372,6 @@ def stream_dataset(
             hit=True,
             splits=splits,
             seconds=time.perf_counter() - start_time,
-            workers=workers,
         )
 
     if cache.complete(key):
@@ -415,10 +382,9 @@ def stream_dataset(
         if cache.complete(key):  # a concurrent streamer committed while we waited
             return hit_report()
         staging, _resumed_layout = _allocate_staging(cache, key, spec, shard_size)
-        journal = shard_journal(staging)
-        state = _parse_shard_state(journal, staging)
+        state = _parse_shard_state(shard_journal(staging), staging)
 
-        splits, tasks = [], []
+        splits, table = [], None
         for name, offset in SPLITS:
             total = _split_totals(spec)[name]
             shards = plan_shards(total, shard_size)
@@ -429,71 +395,32 @@ def stream_dataset(
                 for entry in state.values()
                 if entry["split"] == name and entry["status"] == SHARD_DONE
             }
-            if len(shards) <= 1:
-                if 0 in done:
-                    split_report.resumed.append(0)
-                else:
-                    tasks.append((name, offset, 0, None, None))
-                continue
-            # v2 split: the label shuffle is deterministic and cheap, so
-            # (re)write the targets whenever any shard still needs work —
-            # workers read their label slices back from this memmap.
-            missing = [i for i in range(len(shards)) if i not in done]
             split_report.resumed.extend(sorted(done))
-            if missing:
+            if progress is not None:
+                for index in split_report.resumed:
+                    progress(name, index, "resumed")
+            missing = [i for i in range(len(shards)) if i not in done]
+            sharded = len(shards) > 1  # v2 streams; one shard is the v1 stream
+            if missing and sharded:
+                # The label shuffle is deterministic and cheap, so
+                # (re)write the targets whenever any shard still needs
+                # work — each shard reads its label slice back from them.
                 targets = _open_targets(staging, name)
                 targets[:] = _split_labels_for(spec, offset)
                 evict(targets)
+                if table is None:
+                    prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))
+                    table = _prototype_table(spec, prototypes)
             for index in missing:
-                lo, hi = shards[index]
-                tasks.append((name, offset, index, lo, hi))
-
-        for split_report in splits:
-            for index in split_report.resumed:
-                if progress is not None:
-                    progress(split_report.split, index, "resumed")
-
-        v1_tasks = [t for t in tasks if t[3] is None]
-        v2_tasks = [t for t in tasks if t[3] is not None]
-        by_split = {split_report.split: split_report for split_report in splits}
-
-        for name, offset, index, _lo, _hi in v1_tasks:
-            jkey = shard_key(name, index)
-            _journal_transition(journal, jkey, SHARD_WRITING, split=name, index=index)
-            _write_v1_split(staging, spec, name, offset)
-            _journal_transition(journal, jkey, SHARD_DONE, split=name, index=index)
-            by_split[name].generated.append(index)
-            if progress is not None:
-                progress(name, index, "generated")
-
-        if v2_tasks:
-            cap = _resident_cap(spec, shard_size, max_resident_mb)
-            pool_size = min(workers, len(v2_tasks))
-            if cap is not None:
-                pool_size = min(pool_size, cap)
-            dtype = dtype_name(None)
-            if pool_size > 1:
-                payloads = [
-                    (staging, spec, name, offset, index, lo, hi, dtype)
-                    for name, offset, index, lo, hi in v2_tasks
-                ]
-                ctx = get_context(mp_context)
-                with ctx.Pool(processes=pool_size) as pool:
-                    for name, index in pool.imap_unordered(_stream_shard_task, payloads):
-                        by_split[name].generated.append(index)
-                        if progress is not None:
-                            progress(name, index, "generated")
-            else:
-                prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))
-                table = _prototype_table(spec, prototypes)
-                for name, offset, index, lo, hi in v2_tasks:
+                if sharded:
+                    lo, hi = shards[index]
                     _write_shard(staging, spec, name, offset, index, lo, hi, table)
-                    by_split[name].generated.append(index)
-                    if progress is not None:
-                        progress(name, index, "generated")
+                else:
+                    _write_v1_split(staging, spec, name, offset)
+                split_report.generated.append(index)
+                if progress is not None:
+                    progress(name, index, "generated")
 
-        for split_report in splits:
-            split_report.generated.sort()
         _commit_staged(cache, key, staging, spec, shard_size, splits)
 
     return StreamReport(
@@ -502,7 +429,6 @@ def stream_dataset(
         shard_size=shard_size,
         splits=splits,
         seconds=time.perf_counter() - start_time,
-        workers=workers,
     )
 
 

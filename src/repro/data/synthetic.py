@@ -258,9 +258,7 @@ def make_dataset(
     train_size=None,
     test_size=None,
     cache_dir=None,
-    workers=None,
     shard_size=None,
-    max_resident_mb=None,
 ):
     """Instantiate a named profile, optionally overriding its scale.
 
@@ -268,24 +266,15 @@ def make_dataset(
 
     ``cache_dir`` (optional) names an on-disk dataset cache directory:
     a repeat call for the same spec + engine dtype memory-maps the
-    stored arrays instead of regenerating them.  ``workers`` and
-    ``shard_size`` tune the sharded generation path for large datasets
-    (see :mod:`repro.data.pipeline`); they never change the generated
-    values — shard layout is a pure function of the spec and
-    ``shard_size``, and the default small-dataset stream is identical
-    to the seed generator.  Cold cache entries are streamed to disk
-    shard-by-shard (resumable and never whole-in-RAM; see
-    :mod:`repro.data.streaming`); ``max_resident_mb`` bounds the
-    writer's in-flight shard memory and never changes the bytes.
+    stored arrays instead of regenerating them.  ``shard_size`` tunes
+    the sharded generation path for large datasets (see
+    :mod:`repro.data.pipeline`); the default small-dataset stream is
+    identical to the seed generator.  Cold cache entries are streamed
+    to disk shard by shard (resumable and never whole-in-RAM; see
+    :mod:`repro.data.streaming`).
     """
     from .pipeline import load_or_generate, resolve_spec
 
     spec = resolve_spec(profile, seed=seed, train_size=train_size, test_size=test_size)
-    train, test = load_or_generate(
-        spec,
-        cache_dir=cache_dir,
-        workers=workers,
-        shard_size=shard_size,
-        max_resident_mb=max_resident_mb,
-    )
+    train, test = load_or_generate(spec, cache_dir=cache_dir, shard_size=shard_size)
     return train, test, spec

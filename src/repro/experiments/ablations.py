@@ -19,6 +19,7 @@ from .runner import (
     accuracy_eval_fn,
     build_model,
     build_trainer,
+    default_cache_dir,
     evaluate_accuracy,
     load_experiment_data,
 )
@@ -58,8 +59,8 @@ def ablation_configs(profile="fast", seed=0, factors=H_FACTORS, gammas=GAMMAS):
     return [config for variants in studies.values() for _variant, config in variants]
 
 
-def _row(variant, config, result, low_bits=4):
-    _train, test, _spec = load_experiment_data(config)
+def _row(variant, config, result, cache_dir, low_bits=4):
+    _train, test, _spec = load_experiment_data(config, cache_dir)
     eval_fn = accuracy_eval_fn(test)
     q_low, _ = evaluate_quantized(result.model, QuantScheme(bits=low_bits), eval_fn)
     return {
@@ -74,9 +75,16 @@ def _run_studies(names, profile, cache_dir, seed, workers, force, **axes):
     """One block per study in ``names``; their grids train as one ``train_runs`` call."""
     studies = _studies(profile, seed, **axes)
     configs = [config for name in names for _variant, config in studies[name]]
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     return [
-        {"name": name, "rows": [_row(variant, config, next(results)) for variant, config in studies[name]]}
+        {
+            "name": name,
+            "rows": [
+                _row(variant, config, next(results), cache_dir)
+                for variant, config in studies[name]
+            ],
+        }
         for name in names
     ]
 
@@ -98,15 +106,16 @@ def run_h_sensitivity(
     return _run_studies(["h_sensitivity"], profile, cache_dir, seed, workers, force, factors=factors)[0]
 
 
-def _train_with_regularizer(config, regularizer):
+def _train_with_regularizer(config, regularizer, cache_dir):
     """Train ``config`` in this process, uncached, with HERO's ``regularizer``.
 
     ``TrainConfig`` has no regularizer field (it is an implementation
     ablation, not a paper hyperparameter), so the ``exact_hvp`` arm
-    trains here.  With ``"finite_diff"`` this reproduces the cached
+    trains here, on the data of the run cache ``cache_dir``.  With
+    ``"finite_diff"`` this reproduces the cached
     :func:`~repro.experiments.runner.run_training` run of ``config``.
     """
-    train, test, spec = load_experiment_data(config)
+    train, test, spec = load_experiment_data(config, cache_dir)
     model = build_model(config, spec)
     trainer = build_trainer(config, model)
     trainer.regularizer = regularizer
@@ -126,9 +135,13 @@ def run_regularizer_ablation(profile="fast", cache_dir=None, seed=0, force=False
     trains here (:func:`_train_with_regularizer`).
     """
     config = make_config(DEFAULT_MODEL, DEFAULT_DATASET, "hero", profile=profile, seed=seed)
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     (finite_diff,) = train_runs([config], workers=1, cache_dir=cache_dir, force=force)
-    exact_hvp = _train_with_regularizer(config, "exact_hvp")
-    rows = [_row("finite_diff", config, finite_diff), _row("exact_hvp", config, exact_hvp)]
+    exact_hvp = _train_with_regularizer(config, "exact_hvp", cache_dir)
+    rows = [
+        _row("finite_diff", config, finite_diff, cache_dir),
+        _row("exact_hvp", config, exact_hvp, cache_dir),
+    ]
     return {"name": "regularizer", "rows": rows}
 
 

@@ -12,7 +12,6 @@ Usage::
     python -m repro.experiments serve --workers 4
     python -m repro.experiments queue-status --json -
     python -m repro.experiments datagen --datasets cifar10_like --train-size 50000
-    python -m repro.experiments datagen --train-size 1000000 --max-resident-mb 256
     python -m repro.experiments publish-artifact --paper-model ResNet20-fast \\
         --weight-bits 8 --act-bits 8
     python -m repro.experiments list-artifacts --json -
@@ -41,7 +40,7 @@ the result into the content-addressed artifact store;
 micro-batched inference server over a published artifact.  The ``datagen`` verb pre-warms the on-disk
 dataset cache that sweep workers memory-map — datasets stream
 shard-by-shard straight into the staged entry (resumable after an
-interrupt, ~one shard resident per writer; see
+interrupt, ~one shard resident; see
 ``docs/data-pipeline.md`` and ``docs/memory-model.md``) and the
 per-shard generated/cached mix is reported for each split.
 """
@@ -78,12 +77,13 @@ from . import (
     run_table3,
     save_json,
 )
-from ..data.pipeline import WORKERS_ENV, dataset_cache_dir, resolve_spec
+from ..data.pipeline import dataset_cache_dir, resolve_spec
 from ..messages import SchemaError
 from ..tensor import set_default_dtype
 from .config import TrainConfig, make_grid
 from .runner import default_cache_dir
 from .sweep import (
+    WORKERS_ENV,
     format_sweep,
     resolve_workers,
     run_sweep,
@@ -158,9 +158,10 @@ def build_parser():
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes (default: ${WORKERS_ENV} or serial; "
-        "the sweep verb defaults to 2-4 queue workers, and 0 submits "
-        "the grid to a running fleet)",
+        help="worker processes of the table/figure verbs and all (default: "
+        f"${WORKERS_ENV} or serial), sweep (default: ${WORKERS_ENV} or 2-4 "
+        "queue workers; 0 submits the grid to a running fleet), serve and "
+        "serve-model (default: 2)",
     )
     parser.add_argument(
         "--dtype",
@@ -315,27 +316,31 @@ def build_parser():
         help="serve-model: latency budget before a partial batch flushes "
         "(default: 10ms)",
     )
-    datagen_group = parser.add_argument_group("dataset generation (datagen/sweep verbs)")
+    datagen_group = parser.add_argument_group("dataset generation (datagen verb)")
     datagen_group.add_argument(
-        "--train-size", type=int, default=None, help="override each profile's train size"
+        "--train-size", type=_positive_int, default=None, help="override each profile's train size"
     )
     datagen_group.add_argument(
-        "--test-size", type=int, default=None, help="override each profile's test size"
+        "--test-size", type=_positive_int, default=None, help="override each profile's test size"
     )
     datagen_group.add_argument(
         "--shard-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="samples per generation shard (default: repro.data.pipeline default)",
     )
-    datagen_group.add_argument(
-        "--max-resident-mb",
-        type=float,
-        default=None,
-        help="cap the dataset writer's in-flight shard memory (MB) by "
-        "clamping how many workers may hold a shard at once",
-    )
     return parser
+
+
+def _positive_int(text):
+    """argparse type of the dataset sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _csv(value):
@@ -381,7 +386,6 @@ def run_sweep_command(args, out=sys.stdout):
         force=args.no_cache,
         queue_name=args.queue,
         lease_timeout=args.lease_timeout,
-        max_resident_mb=args.max_resident_mb,
     )
     print(format_sweep(report), file=out)
     if args.json:
@@ -686,12 +690,11 @@ def run_datagen_command(args, out=sys.stdout):
 
     Generates every ``--datasets`` profile at the requested sizes into
     the dataset cache the sweep workers will memory-map, streamed
-    shard-by-shard (``--max-resident-mb`` bounds writer memory).  Each
-    dataset is reported at **shard granularity**: shards generated this
-    run vs shards served from the cache (a resumed interrupt shows up
-    as a mix).  Returns 0 on success (a warm
-    entry counts as success); returns 1 when the dataset cache is
-    disabled, since there is nothing to warm.
+    shard by shard in this process.  Each dataset is reported at
+    **shard granularity**: shards generated this run vs shards served
+    from the cache (a resumed interrupt shows up as a mix).  Returns 0
+    on success (a warm entry counts as success); returns 1 when the
+    dataset cache is disabled, since there is nothing to warm.
     """
     from ..data import stream_dataset
 
@@ -703,17 +706,10 @@ def run_datagen_command(args, out=sys.stdout):
             file=out,
         )
         return 1
-    workers = args.workers if args.workers is not None else resolve_workers(None)
     results = []
     for profile in _csv(args.datasets):
         spec = resolve_spec(profile, train_size=args.train_size, test_size=args.test_size)
-        report = stream_dataset(
-            spec,
-            cache_dir,
-            workers=workers,
-            shard_size=args.shard_size,
-            max_resident_mb=args.max_resident_mb,
-        )
+        report = stream_dataset(spec, cache_dir, shard_size=args.shard_size)
         key, hit, seconds = report.key, report.hit, report.seconds
         splits = report.to_dict()["splits"]
         results.append(

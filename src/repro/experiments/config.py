@@ -20,8 +20,9 @@ Validation
 A config is checked when it is built, so a bad sweep spec fails in the
 process that loads it, before anything is enqueued.  Every field must
 have its annotated type (a bool is not an int), ``method``/``penalty``
-/``perturbation`` must name a registered choice and ``label_noise``
-must lie in [0, 1).  Failures raise the typed
+/``perturbation`` must name a registered choice, ``label_noise``
+must lie in [0, 1) and ``train_size``/``test_size``, when given, must
+be at least 1.  Failures raise the typed
 :class:`repro.messages.FieldTypeError` naming the field.  An int given
 for a float field is stored as a float, so ``lr: 1`` and ``lr: 1.0``
 share one cache key.
@@ -122,6 +123,10 @@ class TrainConfig:
             raise FieldTypeError(
                 f"TrainConfig.label_noise: must lie in [0, 1), got {self.label_noise!r}"
             )
+        for name in ("train_size", "test_size"):
+            size = getattr(self, name)
+            if size is not None and size < 1:
+                raise FieldTypeError(f"TrainConfig.{name}: must be at least 1, got {size!r}")
 
     def resolved_dtype(self):
         """The run's engine dtype name, resolving ``None`` to the policy."""

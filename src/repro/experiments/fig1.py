@@ -12,7 +12,7 @@ Reuses the cached Table 1 training runs (identical configs).
 from ..quant import precision_sweep
 from .config import make_config
 from .reporting import format_series
-from .runner import accuracy_eval_fn, load_experiment_data
+from .runner import accuracy_eval_fn, default_cache_dir, load_experiment_data
 from .sweep import train_runs
 
 METHODS = ("hero", "grad_l1", "sgd")
@@ -54,13 +54,14 @@ def run_fig1(
 ):
     """Sweep PTQ precision for every panel and method."""
     configs = fig1_configs(profile=profile, seed=seed, panels=panels)
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     runs = zip(configs, train_runs(configs, workers=workers, cache_dir=cache_dir, force=force))
     results = {}
     for panel_id, dataset, model in panels:
         curves = {}
         for method in METHODS:
             config, run = next(runs)
-            _train, test, _spec = load_experiment_data(config)
+            _train, test, _spec = load_experiment_data(config, cache_dir)
             curves[method] = precision_sweep(
                 run.model,
                 accuracy_eval_fn(test),
@@ -99,8 +100,9 @@ def run_fig1_schemes(
     from ..quant import QuantScheme, evaluate_quantized
 
     configs = fig1_configs(profile=profile, seed=seed, panels=[(None, dataset, model)])
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     runs = list(train_runs(configs, workers=workers, cache_dir=cache_dir, force=force))
-    _train, test, _spec = load_experiment_data(configs[0])
+    _train, test, _spec = load_experiment_data(configs[0], cache_dir)
     eval_fn = accuracy_eval_fn(test)
     rows = []
     for scheme_name, kwargs_scheme in SCHEMES.items():

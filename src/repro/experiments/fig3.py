@@ -20,7 +20,7 @@ from ..landscape import (
 )
 from ..nn import CrossEntropyLoss
 from .config import make_config
-from .runner import load_experiment_data
+from .runner import default_cache_dir, load_experiment_data
 from .sweep import train_runs
 
 METHODS = ("hero", "sgd")
@@ -54,10 +54,11 @@ def run_fig3(
     the same grid radius — the paper's "plotted under the same scale".
     """
     configs = fig3_configs(profile=profile, seed=seed, model=model, dataset=dataset)
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     surfaces = {}
     for method, config, result in zip(METHODS, configs, results):
-        train, _test, _spec = load_experiment_data(config)
+        train, _test, _spec = load_experiment_data(config, cache_dir)
         loader = DataLoader(train, batch_size=config.batch_size, shuffle=False, seed=0)
         batches = []
         for index, batch in enumerate(loader):

@@ -19,6 +19,7 @@ from .runner import (
     accuracy_eval_fn,
     build_model,
     build_trainer,
+    default_cache_dir,
     load_experiment_data,
 )
 from .sweep import train_runs
@@ -45,11 +46,12 @@ def run_qat_motivation(
 ):
     """Deploy QAT@{qat_bits}, HERO and SGD models at every precision."""
     configs = qat_motivation_configs(profile=profile, seed=seed, model=model, dataset=dataset)
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     curves = {}
     # HERO and SGD come from the shared cached runs.
     for config, result in zip(configs, results):
-        _train, test, _spec = load_experiment_data(config)
+        _train, test, _spec = load_experiment_data(config, cache_dir)
         curves[config.method] = precision_sweep(
             result.model, accuracy_eval_fn(test), bits_list=bits
         )
@@ -57,7 +59,7 @@ def run_qat_motivation(
     # QAT has no TrainConfig method entry (its bits hyperparameter is
     # specific to this experiment), so it trains directly.
     config = make_config(model, dataset, "sgd", profile=profile, seed=seed)
-    train, test, spec = load_experiment_data(config)
+    train, test, spec = load_experiment_data(config, cache_dir)
     qat_model = build_model(config, spec)
     base_trainer = build_trainer(config, qat_model)
     from ..core import QATTrainer

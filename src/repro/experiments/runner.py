@@ -99,7 +99,7 @@ def clear_dataset_cache():
     _cached_make_dataset.cache_clear()
 
 
-def load_experiment_data(config, dataset_cache=None):
+def load_experiment_data(config, cache_dir=_DEFAULT_CACHE):
     """Datasets for a config: ``(train, test, spec)``, label noise applied.
 
     Repeated calls for the same ``(dataset, sizes, dtype)`` — e.g. the
@@ -111,22 +111,23 @@ def load_experiment_data(config, dataset_cache=None):
     label-noise corruption stays outside the memo (it depends on the
     run seed) and shares the memoized input arrays.
 
-    ``dataset_cache`` optionally names the on-disk dataset cache to
-    load/publish the generated arrays through.  ``None`` (what the
-    table/figure drivers pass) resolves exactly as the training path
-    does for the default run cache — ``REPRO_DATASET_CACHE``, else the
-    ``datasets/`` subdirectory of the default run-cache dir — so a
-    driver's analysis phase shares one memo entry (and one on-disk
-    entry) with the training runs instead of regenerating.
+    ``cache_dir`` is the run cache, as for :func:`run_training` (the
+    default run cache unless given): the arrays load from, or are
+    published into, its dataset cache
+    (:func:`~repro.data.pipeline.dataset_cache_dir`: ``REPRO_DATASET_CACHE``,
+    else ``<cache_dir>/datasets``), and ``None`` generates in RAM.  A
+    driver passes the run cache its training used, so its analysis
+    phase shares one memo entry (and one on-disk entry) with the
+    training runs instead of regenerating.
     """
-    if dataset_cache is None:
-        dataset_cache = dataset_cache_dir(default_cache_dir())
+    if cache_dir is _DEFAULT_CACHE:
+        cache_dir = default_cache_dir()
     train, test, spec = _cached_make_dataset(
         config.dataset,
         config.train_size,
         config.test_size,
         config.resolved_dtype(),
-        dataset_cache,
+        dataset_cache_dir(cache_dir),
     )
     if config.label_noise > 0:
         train, _mask = corrupt_dataset(
@@ -229,7 +230,7 @@ def run_training(config, callbacks=(), cache_dir=_DEFAULT_CACHE, force=False, ve
 def _run_training(config, callbacks, cache_dir, force, verbose):
     if cache_dir is _DEFAULT_CACHE:
         cache_dir = default_cache_dir()
-    train, test, spec = load_experiment_data(config, dataset_cache=dataset_cache_dir(cache_dir))
+    train, test, spec = load_experiment_data(config, cache_dir)
     model = build_model(config, spec)
 
     cache = DirectoryCache(cache_dir, _CACHE_FILES) if cache_dir else None

@@ -30,16 +30,17 @@ Properties every path shares:
 * **Dataset warm-up** — before its workers start, a parallel sweep
   writes every unique dataset signature in the grid once into the
   on-disk dataset cache (``<run cache>/datasets``) through the
-  streaming shard writer (:mod:`repro.data.streaming`); workers then
-  memory-map the shared arrays instead of regenerating them, and a
-  repeat sweep performs zero generation work.
+  streaming shard writer (:mod:`repro.data.streaming`), in the sweep
+  process; workers then memory-map the shared arrays instead of
+  regenerating them, and a repeat sweep performs zero generation work.
 
 Opt in to parallelism with ``workers=N`` or the ``REPRO_WORKERS``
-environment variable.  The ``python -m repro.experiments sweep`` CLI
-verb exposes the engine directly; the table/figure drivers reach it
-through :func:`train_runs`, which yields the trained runs themselves
-(serial: trained in process, in order; parallel: one queued sweep,
-then read back from the run cache one at a time).
+environment variable (:func:`resolve_workers`); the sweep is the only
+layer that decides a worker count.  The ``python -m repro.experiments
+sweep`` CLI verb exposes the engine directly; the table/figure drivers
+reach it through :func:`train_runs`, which yields the trained runs
+themselves (serial: trained in process, in order; parallel: one queued
+sweep, then read back from the run cache one at a time).
 
 Examples
 --------
@@ -60,16 +61,34 @@ Equivalent shell invocations (the env vars every layer honors)::
         python -m repro.experiments sweep --models ResNet20-fast
 """
 
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 
-from ..data.pipeline import dataset_cache_dir, resolve_spec, resolve_workers, warm_dataset
+from ..data import stream_dataset
+from ..data.pipeline import dataset_cache_dir, resolve_spec
 from ..tensor import dtype_context, dtype_name
 from . import scheduler as sched
 from .reporting import format_table, record_to_dict
 from .runner import _DEFAULT_CACHE, default_cache_dir, execute_record, run_training
+
+#: Environment variable naming the default worker count.
+WORKERS_ENV = "REPRO_WORKERS"
+
+
+def resolve_workers(workers=None):
+    """Resolve a worker count: explicit arg > ``REPRO_WORKERS`` > serial (1)."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    return max(1, int(workers))
 
 
 @dataclass
@@ -124,14 +143,13 @@ class SweepReport:
         }
 
 
-def warm_datasets(configs, cache_dir, workers=None, max_resident_mb=None):
+def warm_datasets(configs, cache_dir):
     """Generate each unique dataset signature in ``configs`` once.
 
     Deduplicates the grid down to its ``(profile, train_size,
     test_size, dtype)`` signatures and ensures a dataset-cache entry
-    exists for each, streaming cold ones shard-by-shard into the cache
-    (``workers``-parallel for datasets large enough to shard, at most
-    ``max_resident_mb`` of shards in flight; an interrupted warm pass
+    exists for each, streaming cold ones shard by shard into the cache
+    (:func:`repro.data.stream_dataset`; an interrupted warm pass
     resumes from its per-shard journal).  Returns ``(warmed, hits)`` —
     entries generated vs. already present.  A no-op returning ``(0,
     0)`` when no dataset cache is resolvable from ``cache_dir`` /
@@ -159,9 +177,7 @@ def warm_datasets(configs, cache_dir, workers=None, max_resident_mb=None):
             # beats N identical per-run errors.
             continue
         with dtype_context(dtype):
-            _key, hit = warm_dataset(
-                spec, dataset_dir, workers=workers, max_resident_mb=max_resident_mb
-            )
+            hit = stream_dataset(spec, dataset_dir).hit
         if hit:
             hits += 1
         else:
@@ -179,7 +195,6 @@ def run_sweep(
     progress=None,
     queue_name=None,
     lease_timeout=None,
-    max_resident_mb=None,
 ):
     """Execute every config in ``configs``; returns a :class:`SweepReport`.
 
@@ -212,11 +227,9 @@ def run_sweep(
     ``factory(config)`` inside each worker) builds per-run training
     callbacks — e.g. Fig. 2's Hessian-norm probe.  ``progress`` is an
     optional callable receiving each finished :class:`RunRecord`.
-    ``queue_name`` overrides the grid-derived queue identity;
+    ``queue_name`` overrides the grid-derived queue identity and
     ``lease_timeout`` (seconds) tunes how fast a dead worker's tasks
-    are stolen; ``max_resident_mb`` bounds the dataset warm pass's
-    in-flight shards (see :func:`warm_datasets`).  The three apply to
-    queued sweeps only.
+    are stolen; both apply to queued sweeps only.
     """
     # Pin each config's engine dtype to the parent's resolved policy
     # before dispatch: workers re-resolve ``dtype=None`` against *their*
@@ -265,7 +278,6 @@ def run_sweep(
             progress=progress,
             queue_name=queue_name,
             lease_timeout=lease_timeout,
-            max_resident_mb=max_resident_mb,
         )
     report.deduped = len(configs) - len(unique)
     report.wall_seconds = time.perf_counter() - start
@@ -288,7 +300,6 @@ def _run_queue_sweep(
     progress,
     queue_name,
     lease_timeout,
-    max_resident_mb,
 ):
     """The queued path: enqueue, warm, spawn local workers, tail the journal."""
     queue = sched.TaskQueue.create(
@@ -306,9 +317,7 @@ def _run_queue_sweep(
     if workers > 1:
         # Each unique dataset signature is written once, before any
         # worker starts, and the workers memory-map the shared arrays.
-        datasets_warmed, dataset_cache_hits = warm_datasets(
-            unique, cache_dir, workers=workers, max_resident_mb=max_resident_mb
-        )
+        datasets_warmed, dataset_cache_hits = warm_datasets(unique, cache_dir)
         ctx = get_context(mp_context)
         for _ in range(min(workers, len(wanted) - len(served))):
             proc = ctx.Process(

@@ -10,7 +10,7 @@ the Hessian term is necessary, not just the perturbed gradient.
 from ..quant import QuantScheme, evaluate_quantized
 from .config import make_config
 from .reporting import format_table
-from .runner import accuracy_eval_fn, load_experiment_data
+from .runner import accuracy_eval_fn, default_cache_dir, load_experiment_data
 from .sweep import train_runs
 
 METHODS = ("hero", "first_order", "sgd")
@@ -30,10 +30,11 @@ def run_table3(
 ):
     """Train the three arms and sweep PTQ at the paper's precisions."""
     configs = table3_configs(profile=profile, seed=seed, model=model)
+    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
     results = train_runs(configs, workers=workers, cache_dir=cache_dir, force=force)
     rows = []
     for method, config, result in zip(METHODS, configs, results):
-        _train, test, _spec = load_experiment_data(config)
+        _train, test, _spec = load_experiment_data(config, cache_dir)
         eval_fn = accuracy_eval_fn(test)
         entry = {"method": method, "full": result.test_acc}
         for bits in BITS:

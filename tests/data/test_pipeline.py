@@ -18,7 +18,7 @@ from repro.data import (
     make_dataset,
     plan_shards,
     resolve_spec,
-    warm_dataset,
+    stream_dataset,
 )
 from repro.data.pipeline import DATASET_MANIFEST, dataset_cache, split_generator_id
 from repro.data.synthetic import (
@@ -80,16 +80,6 @@ class TestShardedGeneration:
         assert split_generator_id(100, 8192) == "v1"
         assert split_generator_id(10_000, 8192) == "v2.s8192"
         assert split_generator_id(10_000, 4096) == "v2.s4096"
-
-    def test_worker_count_never_changes_data(self):
-        spec = small_spec()
-        serial_train, serial_test = generate_dataset(spec, shard_size=256, workers=1)
-        pooled_train, pooled_test = generate_dataset(
-            spec, shard_size=256, workers=3, mp_context="fork"
-        )
-        assert np.array_equal(serial_train.inputs, pooled_train.inputs)
-        assert np.array_equal(serial_train.targets, pooled_train.targets)
-        assert np.array_equal(serial_test.inputs, pooled_test.inputs)
 
     def test_sharded_labels_match_legacy(self):
         """Sharding changes the image streams, never the label split."""
@@ -187,10 +177,10 @@ class TestDatasetCache:
 
     def test_warm_dataset_reports_hit(self, tmp_path):
         spec = small_spec()
-        key, hit = warm_dataset(spec, str(tmp_path))
-        assert not hit and key == dataset_cache_key(spec)
-        key2, hit2 = warm_dataset(spec, str(tmp_path))
-        assert hit2 and key2 == key
+        cold = stream_dataset(spec, str(tmp_path))
+        assert not cold.hit and cold.key == dataset_cache_key(spec)
+        warm = stream_dataset(spec, str(tmp_path))
+        assert warm.hit and warm.key == cold.key
 
     def test_make_dataset_cache_roundtrip(self, tmp_path):
         fresh_train, _t, spec = make_dataset(
@@ -247,3 +237,8 @@ class TestResolveSpec:
     def test_unknown_profile_raises(self):
         with pytest.raises(KeyError):
             resolve_spec("mnist_like")
+
+    @pytest.mark.parametrize("field, size", [("train_size", 0), ("test_size", 0), ("test_size", -3)])
+    def test_nonpositive_size_raises_naming_the_field(self, field, size):
+        with pytest.raises(ValueError, match=field):
+            resolve_spec("cifar10_like", **{field: size})

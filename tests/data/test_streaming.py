@@ -20,11 +20,9 @@ from repro.data import (
 from repro.data.pipeline import DATASET_MANIFEST, dataset_cache, dataset_cache_key
 from repro.data.streaming import (
     SHARD_DONE,
-    _resident_cap,
     evict,
     shard_journal,
     shard_key,
-    shard_nbytes,
 )
 from repro.data.synthetic import PROFILES
 
@@ -85,15 +83,6 @@ class TestStreamedParity:
             with open(os.path.join(entry, name), "rb") as fh:
                 assert fh.read() == expected.getvalue(), name
 
-    def test_streamed_pool_matches_serial(self, tmp_path):
-        spec = small_spec()
-        stream_dataset(spec, str(tmp_path / "pool"), shard_size=256, workers=3,
-                       mp_context="fork")
-        stream_dataset(spec, str(tmp_path / "serial"), shard_size=256, workers=1)
-        assert entry_digest(str(tmp_path / "pool"), spec) == entry_digest(
-            str(tmp_path / "serial"), spec
-        )
-
     def test_second_call_is_a_hit(self, tmp_path):
         spec = small_spec()
         stream_dataset(spec, str(tmp_path), shard_size=256)
@@ -123,7 +112,6 @@ class TestStreamedParity:
             test_size=64,
             cache_dir=str(tmp_path),
             shard_size=256,
-            max_resident_mb=64,
         )
         assert dataset_cache(str(tmp_path)).complete(dataset_cache_key(spec, shard_size=256))
         assert np.array_equal(train.inputs, generate_dataset(spec, shard_size=256)[0].inputs)
@@ -226,15 +214,6 @@ class TestShardJournal:
         assert entry["status"] == SHARD_DONE
         assert entry["split"] == "train" and entry["index"] == 1
         assert entry["start"] == 256 and entry["stop"] == 512
-
-    def test_resident_cap_counts_whole_shards(self):
-        spec = small_spec()
-        per_shard = shard_nbytes(spec, 256)
-        assert per_shard == 256 * 3 * 8 * 8 * 4
-        assert _resident_cap(spec, 256, None) is None
-        assert _resident_cap(spec, 256, per_shard / 2**20) == 1
-        assert _resident_cap(spec, 256, 5 * per_shard / 2**20) == 5
-        assert _resident_cap(spec, 256, 0.0) == 1  # floor: one shard in flight
 
 
 class TestOutOfCoreLoader:

@@ -58,6 +58,21 @@ class TestTable3:
         text = ex.format_table3(result)
         assert "First-order only" in text
 
+    def test_analysis_reads_the_drivers_dataset_cache(self, cache_dir, tmp_path, monkeypatch):
+        """The PTQ pass loads its data from the run cache the driver was
+        given, not from a second entry in the default run cache."""
+        import os
+
+        from repro.experiments.runner import clear_dataset_cache
+
+        default = tmp_path / "default"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+        monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
+        clear_dataset_cache()  # the in-process memo would hide the write
+        ex.run_table3(profile="smoke", cache_dir=cache_dir, model="ResNet20-fast", workers=1)
+        assert not (default / "datasets").exists()
+        assert os.listdir(os.path.join(cache_dir, "datasets"))
+
 
 class TestFig1:
     def test_structure(self, cache_dir):
@@ -166,7 +181,7 @@ class TestAblations:
 
         config = ex.make_config("ResNet20-fast", "cifar10_like", "hero", profile="smoke")
         cached = ex.run_training(config, cache_dir=cache_dir)
-        inline = _train_with_regularizer(config, "finite_diff")
+        inline = _train_with_regularizer(config, "finite_diff", cache_dir)
         assert (inline.train_acc, inline.test_acc) == (cached.train_acc, cached.test_acc)
         expected = cached.model.state_dict()
         actual = inline.model.state_dict()

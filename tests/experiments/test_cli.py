@@ -32,12 +32,27 @@ class TestParser:
             assert name in ARTIFACTS
 
     def test_datagen_stream_flags(self):
-        args = build_parser().parse_args(["datagen", "--max-resident-mb", "256"])
-        assert args.max_resident_mb == 256.0
-        # there is one dataset writer, so there is nothing to choose
-        for removed in ("--stream", "--no-stream"):
+        # there is one serial dataset writer, so there is nothing to
+        # choose and no in-flight shard memory to cap
+        for removed in (["--stream"], ["--no-stream"], ["--max-resident-mb", "256"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["datagen", removed])
+                build_parser().parse_args(["datagen", *removed])
+
+    @pytest.mark.parametrize("flag", ["--train-size", "--test-size", "--shard-size"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_datagen_sizes_must_be_positive(self, tmp_path, monkeypatch, capsys, flag, value):
+        """A size below 1 is an argparse error, raised before any cache
+        directory exists."""
+        from repro.experiments.cli import main
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
+        with pytest.raises(SystemExit) as exited:
+            main(["datagen", "--datasets", "cifar10_like", flag, value])
+        assert exited.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not cache.exists()
 
 
 class TestDatagenCommand:

@@ -357,6 +357,8 @@ class TestSweepCLI:
             ("perturbation", "layerwise"),
             ("label_noise", 1.7),
             ("label_noise", -0.1),
+            ("train_size", 0),
+            ("test_size", -3),
             ("label_nosie", 0.2),  # unknown field
         ],
     )
