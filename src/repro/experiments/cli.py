@@ -161,7 +161,7 @@ def build_parser():
         help="worker processes of the table/figure verbs and all (default: "
         f"${WORKERS_ENV} or serial), sweep (default: ${WORKERS_ENV} or 2-4 "
         "queue workers; 0 submits the grid to a running fleet), serve and "
-        "serve-model (default: 2)",
+        "serve-model (default: 2; at least 1)",
     )
     parser.add_argument(
         "--dtype",
@@ -305,13 +305,13 @@ def build_parser():
     )
     serving_group.add_argument(
         "--max-batch",
-        type=int,
+        type=_positive_int,
         default=8,
         help="serve-model: micro-batch size ceiling (default: 8)",
     )
     serving_group.add_argument(
         "--max-delay-ms",
-        type=float,
+        type=_non_negative_float,
         default=10.0,
         help="serve-model: latency budget before a partial batch flushes "
         "(default: 10ms)",
@@ -333,13 +333,24 @@ def build_parser():
 
 
 def _positive_int(text):
-    """argparse type of the dataset sizes: an integer of at least 1."""
+    """argparse type of the dataset sizes and ``--max-batch``: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text):
+    """argparse type of ``--max-delay-ms``: a number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -767,7 +778,11 @@ def run_artifact(
 
 def main(argv=None):
     """CLI entry point; returns a shell exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.artifact in ("serve", "serve-model") and args.workers is not None and args.workers < 1:
+        # `sweep --workers 0` submits to a fleet; a server needs a worker.
+        parser.error(f"{args.artifact}: --workers must be at least 1, got {args.workers}")
     if args.dtype:
         set_default_dtype(args.dtype)
     if args.artifact == "sweep":

@@ -14,20 +14,22 @@ from ..data import DataLoader
 from ..nn import CrossEntropyLoss
 from .config import make_config
 from .reporting import format_series
-from .runner import load_experiment_data
+from .runner import _DEFAULT_CACHE, default_cache_dir, load_experiment_data
 from .sweep import train_runs
 
 METHODS = ("hero", "grad_l1", "sgd")
 
 
-def fig2_callbacks(config, max_batches=2):
+def fig2_callbacks(config, max_batches=2, cache_dir=_DEFAULT_CACHE):
     """Per-config training callbacks measuring ``||Hz||`` and the gap.
 
     Module-level (and used with :func:`functools.partial`) so the sweep
     engine can ship it to worker processes and build the callbacks
-    inside each worker.
+    inside each worker.  ``cache_dir`` is the run cache, as for
+    :func:`~repro.experiments.runner.load_experiment_data`: the probe
+    loader reads the dataset the run trains on from there.
     """
-    train, _test, _spec = load_experiment_data(config)
+    train, _test, _spec = load_experiment_data(config, cache_dir)
     probe_loader = DataLoader(train, batch_size=config.batch_size, shuffle=True, seed=99)
     return [
         HessianNormCallback(
@@ -65,7 +67,8 @@ def run_fig2(
     entries already carry the measured columns.
     """
     configs = fig2_configs(profile=profile, seed=seed, model=model, dataset=dataset)
-    factory = partial(fig2_callbacks, max_batches=max_batches)
+    cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
+    factory = partial(fig2_callbacks, max_batches=max_batches, cache_dir=cache_dir)
     results = list(
         train_runs(
             configs, workers=workers, cache_dir=cache_dir, force=force, callback_factory=factory

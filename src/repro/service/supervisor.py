@@ -117,7 +117,8 @@ class FleetSupervisor:
     Parameters mirror the ``serve`` CLI verb.  ``mp_context`` defaults
     to ``spawn`` like the sweep engine (fork is available for tests);
     ``patrol=False`` disables the error-retry/quarantine pass;
-    ``queues`` restricts the fleet to named queues.
+    ``queues`` restricts the fleet to named queues.  ``workers`` below 1
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -134,8 +135,10 @@ class FleetSupervisor:
         patrol=True,
         clock=time.time,
     ):
+        if int(workers) < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         self.cache_dir = os.path.abspath(cache_dir)
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self.poll = poll
         self.worker_poll = worker_poll
         self.heartbeat_interval = heartbeat_interval

@@ -548,7 +548,8 @@ class InferenceServer:
     (each with its own model instance rebuilt from the artifact), and
     ``stop()`` winds them down after draining is optional — killed
     processes are the *other* entry point (``_worker_main``), which
-    shares every on-disk structure with this class.
+    shares every on-disk structure with this class.  ``workers`` below 1
+    raises ``ValueError``: nothing would serve the batches.
     """
 
     def __init__(
@@ -565,6 +566,8 @@ class InferenceServer:
         stats_interval=0.25,
         clock=time.time,
     ):
+        if int(workers) < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         self.artifact_key = artifact_key
         self.cache_dir = cache_dir
         self.name = name or f"srv-{artifact_key[:8]}"

@@ -2,9 +2,10 @@
 
 This package is the foundational substrate of the HERO reproduction:
 the paper's update rule (Eq. 16-17) differentiates through a gradient,
-which requires ``backward(create_graph=True)`` support.  Backward rules
-are themselves expressed as Tensor ops, so derivatives of any order are
-available (and are validated against finite differences in the tests).
+which requires ``backward(create_graph=True)`` support.  Each op has
+one backward rule: run on Tensors it records a graph, so derivatives of
+any order are available (and are validated against finite differences
+in the tests); run on ndarrays it is the first-order ``backward()``.
 
 Public API
 ----------

@@ -2,20 +2,20 @@
 
 Every primitive op in the engine is a :class:`Function`.  A ``Function``
 instance records its input tensors when applied, and its ``backward``
-method expresses the vector-Jacobian product **in terms of Tensor
-operations**.  Because the backward pass is itself built from
-differentiable ops, calling ``Tensor.backward(create_graph=True)``
-produces gradients that carry their own graph — which is exactly what
-HERO's Hessian regularizer (Eq. 16 of the paper) and the GRAD-L1
-baseline need (gradients of gradient norms).
+method expresses the vector-Jacobian product with operations that
+Tensors and ndarrays share.  The same rule serves both autograd routes:
 
-Ops may additionally implement ``backward_raw``, a raw-numpy mirror of
-``backward`` used by ``Tensor.backward(create_graph=False)``: it
-receives and returns plain ``numpy.ndarray`` gradients, skipping graph
-construction entirely.  A ``backward_raw`` MUST perform bit-identically
-the same floating-point operations as the Tensor-valued rule — the
-fast path is an implementation detail, never a numerics change (pinned
-by ``tests/tensor/test_raw_backward.py``).
+* ``Tensor.backward(create_graph=True)`` calls it with Tensors, so the
+  backward pass is itself a differentiable graph — which is exactly
+  what HERO's Hessian regularizer (Eq. 16 of the paper) and the GRAD-L1
+  baseline need (gradients of gradient norms);
+* first-order ``Tensor.backward()`` calls it with the inputs' ndarrays
+  and gets ndarray gradients back, skipping graph construction
+  entirely.
+
+Because both routes run one rule, they perform the same float
+operations in the same order (``tests/tensor/test_raw_backward.py``
+checks that their gradients agree bitwise).
 """
 
 import numpy as np
@@ -37,17 +37,16 @@ class Function:
         Receives raw ``numpy.ndarray`` inputs, returns a ``numpy.ndarray``.
         May stash anything needed for the backward pass on ``self``.
 
-    ``backward(self, grad_out)``
-        Receives the upstream gradient as a ``Tensor`` and must return a
-        tuple with one entry per tensor input: either a ``Tensor``
-        gradient or ``None`` for non-differentiable inputs.  The rule
-        must be written with ``Tensor`` operations so that higher-order
-        differentiation works.
-
-    ``backward_raw(self, grad_out)`` (optional)
-        Raw-array mirror of ``backward`` for the first-order fast path;
-        must reproduce ``backward``'s float ops bit-for-bit.  The base
-        implementation routes through ``backward`` and unwraps.
+    ``backward(self, grad_out, *inputs)``
+        Receives the upstream gradient and the op's inputs, all Tensors
+        (graph route) or all ndarrays (first-order route), and returns
+        a tuple with one gradient of the same type per input, or
+        ``None`` for a non-differentiable input.  Write it with what
+        both types share (``+ - * @``, unary ``-``, ``**``, ``[]``,
+        ``reshape``, ``transpose``, ``swapaxes``, ``sum``), keep the
+        gradient or an input on the left of each operator, wrap every
+        constant in :func:`as_array`, and reach other ops through
+        :func:`call` and :func:`expand`.
     """
 
     def __init__(self):
@@ -91,32 +90,43 @@ class Function:
     def forward(self, *arrays, **kwargs):
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, *inputs):
         raise NotImplementedError
-
-    def backward_raw(self, grad_out):
-        """Raw-array VJP fallback: route through ``backward`` and unwrap.
-
-        ``grad_out`` is a ``numpy.ndarray``; the return value is a tuple
-        of arrays/None per input.  Called with grad mode disabled, so
-        the Tensor ops inside ``backward`` do not record a graph.
-        """
-        grads = self.backward(_Tensor(grad_out, dtype=grad_out.dtype))
-        if not isinstance(grads, tuple):
-            grads = (grads,)
-        return tuple(None if g is None else g.data for g in grads)
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
 
 
+def call(op, x, **kwargs):
+    """Run the op class ``op`` on ``x`` inside a backward rule.
+
+    A Tensor gets a graph node (``op.apply``); an ndarray gets the bare
+    forward, which makes the same numpy calls.
+    """
+    if isinstance(x, _Tensor):
+        return op.apply(x, **kwargs)
+    return op().forward(x, **kwargs)
+
+
+def expand(grad, shape):
+    """Broadcast ``grad`` to ``shape`` inside a backward rule.
+
+    A Tensor is materialized by ``Expand``; an ndarray becomes a
+    read-only ``np.broadcast_to`` view with the same values (the raw
+    accumulator never writes into arrays it did not allocate).
+    """
+    if isinstance(grad, _Tensor):
+        return grad.expand_to(shape)
+    return np.broadcast_to(grad, shape)
+
+
 def unbroadcast(grad, shape):
-    """Reduce ``grad`` (a Tensor) back to ``shape`` after broadcasting.
+    """Reduce ``grad`` back to ``shape`` after broadcasting.
 
     NumPy broadcasting prepends singleton dimensions and stretches size-1
     axes; the adjoint of broadcasting is summation over those axes.  This
-    helper is built from differentiable ``sum``/``reshape`` ops so it can
-    appear inside backward rules.
+    helper uses only ``sum``/``reshape``, so it works on a Tensor (as
+    differentiable ops) and on an ndarray alike.
     """
     if tuple(grad.shape) == tuple(shape):
         return grad
@@ -131,28 +141,6 @@ def unbroadcast(grad, shape):
     if stretched:
         grad = grad.sum(axis=stretched, keepdims=True)
     if tuple(grad.shape) != tuple(shape):
-        grad = grad.reshape(shape)
-    return grad
-
-
-def unbroadcast_raw(grad, shape):
-    """Raw-array mirror of :func:`unbroadcast` (same np calls, same bits).
-
-    The summations are issued exactly as the Tensor route would
-    (``Sum.forward`` calls ``a.sum(axis=<sorted tuple>, keepdims=...)``),
-    so first-order gradients are bit-identical between the two paths.
-    """
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)), keepdims=False)
-    stretched = tuple(
-        axis for axis, size in enumerate(shape) if size == 1 and grad.shape[axis] != 1
-    )
-    if stretched:
-        grad = grad.sum(axis=stretched, keepdims=True)
-    if grad.shape != shape:
         grad = grad.reshape(shape)
     return grad
 

@@ -1,15 +1,12 @@
 """Arithmetic primitives: add, neg, mul, pow and (batched) matmul.
 
-All ``backward`` rules are written with Tensor operations so that the
-backward pass is itself differentiable (double backprop).  Each op also
-carries a ``backward_raw`` mirror used by first-order ``backward()``:
-the same numpy calls in the same order, on raw arrays — bit-identical
-results without graph bookkeeping.
+Each ``backward`` rule runs on Tensors (double backprop) and on ndarrays
+(first-order ``backward()``) alike; see :mod:`repro.tensor.function`.
 """
 
 import numpy as np
 
-from .function import Function, as_array, unbroadcast, unbroadcast_raw
+from .function import Function, as_array, unbroadcast
 
 
 class Add(Function):
@@ -20,16 +17,10 @@ class Add(Function):
         self.b_shape = b.shape
         return np.add(a, b)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a, b):
         return (
             unbroadcast(grad_out, self.a_shape),
             unbroadcast(grad_out, self.b_shape),
-        )
-
-    def backward_raw(self, grad_out):
-        return (
-            unbroadcast_raw(grad_out, self.a_shape),
-            unbroadcast_raw(grad_out, self.b_shape),
         )
 
 
@@ -39,11 +30,8 @@ class Neg(Function):
     def forward(self, a):
         return np.negative(a)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a):
         return (-grad_out,)
-
-    def backward_raw(self, grad_out):
-        return (np.negative(grad_out),)
 
 
 class Mul(Function):
@@ -54,21 +42,10 @@ class Mul(Function):
         self.b_shape = b.shape
         return np.multiply(a, b)
 
-    def backward(self, grad_out):
-        a, b = self.inputs
+    def backward(self, grad_out, a, b):
         return (
             unbroadcast(grad_out * b, self.a_shape),
             unbroadcast(grad_out * a, self.b_shape),
-        )
-
-    def backward_raw(self, grad_out):
-        a, b = self.inputs
-        ad, bd = a.data, b.data
-        grad_a = np.multiply(grad_out, bd)
-        grad_b = np.multiply(grad_out, ad)
-        return (
-            unbroadcast_raw(grad_a, self.a_shape),
-            unbroadcast_raw(grad_b, self.b_shape),
         )
 
 
@@ -84,30 +61,13 @@ class Pow(Function):
         self.exponent = exponent
         return a ** exponent
 
-    def backward(self, grad_out):
-        (a,) = self.inputs
+    def backward(self, grad_out, a):
         p = self.exponent
         if p == 1.0:
             return (grad_out,)
         if p == 2.0:
-            return (grad_out * (a * 2.0),)
-        return (grad_out * (a.pow(p - 1.0) * p),)
-
-    def backward_raw(self, grad_out):
-        (a,) = self.inputs
-        ad = a.data
-        p = self.exponent
-        if p == 1.0:
-            return (grad_out,)
-        if p == 2.0:
-            return (_mul_into(grad_out, _scale(ad, 2.0)),)
-        t = np.asarray(ad ** (p - 1.0))
-        # Mirror the graph route exactly: the scalar factor p is cast
-        # to the policy dtype there (Tensor(p)), which matters for
-        # non-representable exponents under a float32 policy.
-        s = as_array(p)
-        t = np.multiply(t, s, out=t) if s.dtype == t.dtype else np.multiply(t, s)
-        return (_mul_into(grad_out, np.asarray(t)),)
+            return (grad_out * (a * as_array(2.0)),)
+        return (grad_out * (a ** (p - 1.0) * as_array(p)),)
 
 
 class MatMul(Function):
@@ -127,8 +87,7 @@ class MatMul(Function):
         self.b_shape = b.shape
         return np.matmul(a, b)
 
-    def backward(self, grad_out):
-        a, b = self.inputs
+    def backward(self, grad_out, a, b):
         grad_a = grad_out @ b.swapaxes(-1, -2)
         grad_b = a.swapaxes(-1, -2) @ grad_out
         return (
@@ -136,32 +95,3 @@ class MatMul(Function):
             unbroadcast(grad_b, self.b_shape),
         )
 
-    def backward_raw(self, grad_out):
-        a, b = self.inputs
-        bt = b.data.swapaxes(-1, -2)
-        at = a.data.swapaxes(-1, -2)
-        grad_a = np.matmul(grad_out, bt)
-        grad_b = np.matmul(at, grad_out)
-        return (
-            unbroadcast_raw(grad_a, self.a_shape),
-            unbroadcast_raw(grad_b, self.b_shape),
-        )
-
-
-def _scale(x, c):
-    """``x * c`` with ``c`` cast to the policy dtype, as the graph
-    route's ``Tensor(c)`` wrapping does."""
-    return np.asarray(np.multiply(x, as_array(c)))
-
-
-def _mul_into(grad_out, t):
-    """``grad_out * t`` writing into ``t`` when dtypes permit.
-
-    ``t`` is always a scratch array private to the caller; writing the
-    product into it saves an allocation.  A dtype mismatch (e.g. a
-    float64 upstream gradient against a float32 recomputation) must
-    allocate: a narrower ``out=`` would silently downcast.
-    """
-    if grad_out.dtype == t.dtype and grad_out.shape == t.shape and t.flags.writeable:
-        return np.multiply(grad_out, t, out=t)
-    return np.multiply(grad_out, t)

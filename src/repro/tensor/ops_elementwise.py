@@ -6,17 +6,15 @@ zero almost everywhere, so treating the mask as constant during double
 backprop is mathematically correct away from the kink — the standard
 convention shared with PyTorch.
 
-Each op's ``backward_raw`` mirrors its graph rule numpy-call for
-numpy-call (bit-identical first-order gradients); mask products
-replicate the graph route's ``Tensor(mask)`` policy-dtype cast via
-``as_array`` so dtypes promote identically on both paths.
+Each ``backward`` rule runs on Tensors and on ndarrays alike (see
+:mod:`repro.tensor.function`).  Masks and constants are cast to the
+policy dtype with ``as_array``, so a product promotes the same way on
+both routes.
 """
 
 import numpy as np
 
-from .function import Function, as_array, unbroadcast, unbroadcast_raw
-from .ops_basic import _mul_into
-from .tensor import Tensor
+from .function import Function, as_array, call, unbroadcast
 
 
 class Exp(Function):
@@ -25,16 +23,10 @@ class Exp(Function):
     def forward(self, a):
         return np.exp(a)
 
-    def backward(self, grad_out):
-        (a,) = self.inputs
+    def backward(self, grad_out, a):
         # Recompute exp(a) differentiably rather than caching the output
         # tensor: keeps the graph free of reference cycles.
-        return (grad_out * a.exp(),)
-
-    def backward_raw(self, grad_out):
-        (a,) = self.inputs
-        t = np.exp(a.data)
-        return (_mul_into(grad_out, t),)
+        return (grad_out * call(Exp, a),)
 
 
 class Log(Function):
@@ -43,15 +35,8 @@ class Log(Function):
     def forward(self, a):
         return np.log(a)
 
-    def backward(self, grad_out):
-        (a,) = self.inputs
-        return (grad_out * a.pow(-1.0),)
-
-    def backward_raw(self, grad_out):
-        (a,) = self.inputs
-        # Graph route is `a.pow(-1.0)` whose forward is `a ** -1.0`.
-        t = np.asarray(a.data ** -1.0)
-        return (_mul_into(grad_out, t),)
+    def backward(self, grad_out, a):
+        return (grad_out * a ** -1.0,)
 
 
 class Tanh(Function):
@@ -60,21 +45,9 @@ class Tanh(Function):
     def forward(self, a):
         return np.tanh(a)
 
-    def backward(self, grad_out):
-        (a,) = self.inputs
-        t = a.tanh()
-        return (grad_out * (1.0 - t * t),)
-
-    def backward_raw(self, grad_out):
-        (a,) = self.inputs
-        t = np.tanh(a.data)
-        np.multiply(t, t, out=t)
-        # `1.0 - u` in the graph route is `as_tensor(1.0) + (-u)`;
-        # IEEE subtraction equals addition of the negation exactly,
-        # and the policy-dtype 1.0 promotes identically via as_array.
-        one = as_array(1.0)
-        t = np.subtract(one, t, out=t) if one.dtype == t.dtype else np.asarray(one - t)
-        return (_mul_into(grad_out, t),)
+    def backward(self, grad_out, a):
+        t = call(Tanh, a)
+        return (grad_out * (-(t * t) + as_array(1.0)),)
 
 
 class Sigmoid(Function):
@@ -89,17 +62,9 @@ class Sigmoid(Function):
         out[~pos] = ea / (1.0 + ea)
         return out
 
-    def backward(self, grad_out):
-        (a,) = self.inputs
-        s = a.sigmoid()
-        return (grad_out * (s * (1.0 - s)),)
-
-    def backward_raw(self, grad_out):
-        (a,) = self.inputs
-        s = Sigmoid.forward(self, a.data)
-        m = np.asarray(as_array(1.0) - s)
-        np.multiply(s, m, out=m)
-        return (_mul_into(grad_out, m),)
+    def backward(self, grad_out, a):
+        s = call(Sigmoid, a)
+        return (grad_out * (s * (-s + as_array(1.0))),)
 
 
 class Relu(Function):
@@ -109,11 +74,8 @@ class Relu(Function):
         self.mask = (a > 0).astype(a.dtype)
         return np.multiply(a, self.mask)
 
-    def backward(self, grad_out):
-        return (grad_out * Tensor(self.mask),)
-
-    def backward_raw(self, grad_out):
-        return (_mask_mul_raw(grad_out, self.mask),)
+    def backward(self, grad_out, a):
+        return (grad_out * as_array(self.mask),)
 
 
 class Abs(Function):
@@ -123,11 +85,8 @@ class Abs(Function):
         self.sign = np.sign(a)
         return np.abs(a)
 
-    def backward(self, grad_out):
-        return (grad_out * Tensor(self.sign),)
-
-    def backward_raw(self, grad_out):
-        return (_mask_mul_raw(grad_out, self.sign),)
+    def backward(self, grad_out, a):
+        return (grad_out * as_array(self.sign),)
 
 
 class Clip(Function):
@@ -137,11 +96,8 @@ class Clip(Function):
         self.mask = ((a >= low) & (a <= high)).astype(a.dtype)
         return np.clip(a, low, high)
 
-    def backward(self, grad_out):
-        return (grad_out * Tensor(self.mask),)
-
-    def backward_raw(self, grad_out):
-        return (_mask_mul_raw(grad_out, self.mask),)
+    def backward(self, grad_out, a):
+        return (grad_out * as_array(self.mask),)
 
 
 class Maximum(Function):
@@ -156,16 +112,10 @@ class Maximum(Function):
         self.mask_b = 1.0 - self.mask_a
         return np.maximum(a, b)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a, b):
         return (
-            unbroadcast(grad_out * Tensor(self.mask_a), self.a_shape),
-            unbroadcast(grad_out * Tensor(self.mask_b), self.b_shape),
-        )
-
-    def backward_raw(self, grad_out):
-        return (
-            unbroadcast_raw(_mask_mul_raw(grad_out, self.mask_a), self.a_shape),
-            unbroadcast_raw(_mask_mul_raw(grad_out, self.mask_b), self.b_shape),
+            unbroadcast(grad_out * as_array(self.mask_a), self.a_shape),
+            unbroadcast(grad_out * as_array(self.mask_b), self.b_shape),
         )
 
 
@@ -181,16 +131,10 @@ class Minimum(Function):
         self.mask_b = 1.0 - self.mask_a
         return np.minimum(a, b)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a, b):
         return (
-            unbroadcast(grad_out * Tensor(self.mask_a), self.a_shape),
-            unbroadcast(grad_out * Tensor(self.mask_b), self.b_shape),
-        )
-
-    def backward_raw(self, grad_out):
-        return (
-            unbroadcast_raw(_mask_mul_raw(grad_out, self.mask_a), self.a_shape),
-            unbroadcast_raw(_mask_mul_raw(grad_out, self.mask_b), self.b_shape),
+            unbroadcast(grad_out * as_array(self.mask_a), self.a_shape),
+            unbroadcast(grad_out * as_array(self.mask_b), self.b_shape),
         )
 
 
@@ -203,18 +147,11 @@ class Where(Function):
         self.b_shape = b.shape
         return np.where(self.cond, a, b)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a, b):
         mask = self.cond.astype(grad_out.dtype)
         return (
-            unbroadcast(grad_out * Tensor(mask), self.a_shape),
-            unbroadcast(grad_out * Tensor(1.0 - mask), self.b_shape),
-        )
-
-    def backward_raw(self, grad_out):
-        mask = self.cond.astype(grad_out.dtype)
-        return (
-            unbroadcast_raw(_mask_mul_raw(grad_out, mask), self.a_shape),
-            unbroadcast_raw(_mask_mul_raw(grad_out, 1.0 - mask), self.b_shape),
+            unbroadcast(grad_out * as_array(mask), self.a_shape),
+            unbroadcast(grad_out * as_array(1.0 - mask), self.b_shape),
         )
 
 
@@ -222,13 +159,3 @@ def where(cond, a, b):
     """Differentiable select: ``a`` where ``cond`` holds, else ``b``."""
     return Where.apply(a, b, cond=np.asarray(cond))
 
-
-def _mask_mul_raw(grad_out, mask):
-    """``grad_out * mask`` exactly as the graph route computes it.
-
-    The graph rule wraps the mask in ``Tensor(mask)``, which casts it
-    to the policy dtype — replicated here with ``as_array`` so the
-    product's dtype (and, for non-0/1 masks like ``Max``'s tie split,
-    its bits) match the graph path.
-    """
-    return np.multiply(grad_out, as_array(mask))

@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from .function import Function, as_array
-from .tensor import Tensor
+from .function import Function, as_array, expand
 
 
 def _normalize_axis(axis, ndim):
@@ -31,18 +30,10 @@ class Sum(Function):
         self.keepdims = keepdims
         return a.sum(axis=self.axes, keepdims=keepdims)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a):
         mid_shape = _keepdims_shape(self.in_shape, self.axes)
         grad = grad_out if self.keepdims else grad_out.reshape(mid_shape)
-        return (grad.expand_to(self.in_shape),)
-
-    def backward_raw(self, grad_out):
-        mid_shape = _keepdims_shape(self.in_shape, self.axes)
-        grad = grad_out if self.keepdims else grad_out.reshape(mid_shape)
-        # The graph route materializes the broadcast (`Expand` copies);
-        # the values of a read-only broadcast view are identical, and
-        # the raw accumulator never mutates arrays it did not allocate.
-        return (np.broadcast_to(grad, self.in_shape),)
+        return (expand(grad, self.in_shape),)
 
 
 class Max(Function):
@@ -68,16 +59,9 @@ class Max(Function):
                 out = np.squeeze(out, axis=self.axes)
         return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a):
         mid_shape = _keepdims_shape(self.in_shape, self.axes)
         grad = grad_out if self.keepdims else grad_out.reshape(mid_shape)
-        return (grad.expand_to(self.in_shape) * Tensor(self.mask),)
-
-    def backward_raw(self, grad_out):
-        mid_shape = _keepdims_shape(self.in_shape, self.axes)
-        grad = grad_out if self.keepdims else grad_out.reshape(mid_shape)
-        expanded = np.broadcast_to(grad, self.in_shape)
-        # Tensor(mask) in the graph rule casts to the policy dtype; the
-        # tie-split mask holds non-dyadic values (1/3, ...), so the
-        # cast is replicated for bit parity.
-        return (np.multiply(expanded, as_array(self.mask)),)
+        # The tie-split mask holds non-dyadic values (1/3, ...), so its
+        # cast to the policy dtype decides the product's bits.
+        return (expand(grad, self.in_shape) * as_array(self.mask),)

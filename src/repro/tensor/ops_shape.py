@@ -7,15 +7,15 @@ adjoints of each other, so each one's backward rule is the other —
 giving the engine support for arbitrary-order differentiation through
 im2col convolution, pooling window extraction and label lookup.
 
-``backward_raw`` rules return views where the graph route would copy
-(``Pad``/``Concat`` adjoints slice; ``Reshape``/``Transpose`` re-view):
-values are identical, and the raw accumulator never mutates arrays it
-did not allocate, so aliasing is safe.
+On ndarrays the ``Pad``/``Concat``/``Unslice`` adjoints return slices
+of the upstream gradient where the graph route copies them: values are
+identical, and the raw accumulator never mutates arrays it did not
+allocate, so aliasing is safe.
 """
 
 import numpy as np
 
-from .function import Function
+from .function import Function, call, unbroadcast
 
 
 class Reshape(Function):
@@ -25,10 +25,7 @@ class Reshape(Function):
         self.in_shape = a.shape
         return a.reshape(shape)
 
-    def backward(self, grad_out):
-        return (grad_out.reshape(self.in_shape),)
-
-    def backward_raw(self, grad_out):
+    def backward(self, grad_out, a):
         return (grad_out.reshape(self.in_shape),)
 
 
@@ -41,13 +38,9 @@ class Transpose(Function):
         self.axes = tuple(axes)
         return np.transpose(a, self.axes)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a):
         inverse = np.argsort(self.axes)
         return (grad_out.transpose(tuple(int(i) for i in inverse)),)
-
-    def backward_raw(self, grad_out):
-        inverse = np.argsort(self.axes)
-        return (np.transpose(grad_out, tuple(int(i) for i in inverse)),)
 
 
 class Expand(Function):
@@ -57,15 +50,8 @@ class Expand(Function):
         self.in_shape = a.shape
         return np.broadcast_to(a, shape).copy()
 
-    def backward(self, grad_out):
-        from .function import unbroadcast
-
+    def backward(self, grad_out, a):
         return (unbroadcast(grad_out, self.in_shape),)
-
-    def backward_raw(self, grad_out):
-        from .function import unbroadcast_raw
-
-        return (unbroadcast_raw(grad_out, self.in_shape),)
 
 
 class Pad(Function):
@@ -77,10 +63,7 @@ class Pad(Function):
         )
         return np.pad(a, pad_width, mode="constant", constant_values=value)
 
-    def backward(self, grad_out):
-        return (grad_out[self.key],)
-
-    def backward_raw(self, grad_out):
+    def backward(self, grad_out, a):
         return (grad_out[self.key],)
 
 
@@ -92,13 +75,8 @@ class Slice(Function):
         self.in_shape = a.shape
         return a[key].copy()
 
-    def backward(self, grad_out):
-        return (Unslice.apply(grad_out, key=self.key, in_shape=self.in_shape),)
-
-    def backward_raw(self, grad_out):
-        out = np.zeros(self.in_shape, dtype=grad_out.dtype)
-        out[self.key] = grad_out
-        return (out,)
+    def backward(self, grad_out, a):
+        return (call(Unslice, grad_out, key=self.key, in_shape=self.in_shape),)
 
 
 class Unslice(Function):
@@ -110,10 +88,7 @@ class Unslice(Function):
         out[key] = g
         return out
 
-    def backward(self, grad_out):
-        return (grad_out[self.key],)
-
-    def backward_raw(self, grad_out):
+    def backward(self, grad_out, a):
         return (grad_out[self.key],)
 
 
@@ -125,17 +100,7 @@ class Concat(Function):
         self.sizes = [arr.shape[axis] for arr in arrays]
         return np.concatenate(arrays, axis=axis)
 
-    def backward(self, grad_out):
-        grads = []
-        start = 0
-        for size in self.sizes:
-            key = [slice(None)] * grad_out.ndim
-            key[self.axis] = slice(start, start + size)
-            grads.append(grad_out[tuple(key)])
-            start += size
-        return tuple(grads)
-
-    def backward_raw(self, grad_out):
+    def backward(self, grad_out, *inputs):
         grads = []
         start = 0
         for size in self.sizes:
@@ -158,14 +123,9 @@ class TakeFlat(Function):
         self.in_shape = a.shape
         return a.reshape(-1)[indices]
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, a):
         return (
-            ScatterAddFlat.apply(grad_out, indices=self.indices, in_shape=self.in_shape),
-        )
-
-    def backward_raw(self, grad_out):
-        return (
-            _scatter_add_flat_raw(grad_out, self.indices, self.in_shape),
+            call(ScatterAddFlat, grad_out, indices=self.indices, in_shape=self.in_shape),
         )
 
 
@@ -174,20 +134,12 @@ class ScatterAddFlat(Function):
 
     def forward(self, g, indices, in_shape):
         self.indices = indices
-        return _scatter_add_flat_raw(g, indices, in_shape)
+        out = np.zeros(int(np.prod(in_shape)), dtype=g.dtype)
+        np.add.at(out, indices.reshape(-1), g.reshape(-1))
+        return out.reshape(in_shape)
 
-    def backward(self, grad_out):
-        return (grad_out.take_flat(self.indices),)
-
-    def backward_raw(self, grad_out):
-        return (grad_out.reshape(-1)[self.indices],)
-
-
-def _scatter_add_flat_raw(g, indices, in_shape):
-    """Zero-init scatter-add shared by the forward and the raw adjoint."""
-    out = np.zeros(int(np.prod(in_shape)), dtype=g.dtype)
-    np.add.at(out, indices.reshape(-1), g.reshape(-1))
-    return out.reshape(in_shape)
+    def backward(self, grad_out, g):
+        return (call(TakeFlat, grad_out, indices=self.indices),)
 
 
 def concat(tensors, axis=0):

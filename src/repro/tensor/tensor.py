@@ -11,17 +11,18 @@ The design follows the PyTorch model closely:
   double-backpropagation HERO requires.
 
 First-order ``backward()`` (``create_graph=False``) takes a raw fast
-path: each op's ``backward_raw`` rule runs on plain numpy arrays — no
-Tensor wrapping, no graph bookkeeping — and gradient accumulation is
-performed in place (``np.add(..., out=)``) into arrays the traversal
-itself allocated.  The raw path executes the same floating-point
-operations in the same order as the graph path, so gradients are
-bit-identical between the two (pinned by the parity tests).
+path: each op's one ``backward`` rule runs on the inputs' numpy arrays
+instead of the Tensors — no Tensor wrapping, no graph bookkeeping — and
+gradient accumulation is performed in place (``np.add(..., out=)``)
+into arrays the traversal itself allocated.  Both routes run the same
+rule, so they perform the same float operations in the same order.
 """
+
+from operator import attrgetter
 
 import numpy as np
 
-from ._gradmode import no_grad, enable_grad
+from ._gradmode import enable_grad
 from . import function
 from .function import as_array
 from .policy import resolve_dtype
@@ -46,6 +47,10 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_ctx", "_grad_owned")
+
+    # An ndarray or numpy scalar on the left of a Tensor defers to the
+    # Tensor's reflected operators instead of building an object array.
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = as_array(data, dtype=dtype)
@@ -173,13 +178,13 @@ class Tensor:
             When ``True`` the backward computation is itself recorded,
             so the resulting ``.grad`` tensors are differentiable (used
             for Hessian-vector products and HERO's Eq. 16/17).  When
-            ``False`` the raw fast path runs instead (bit-identical
-            gradients, no graph, in-place accumulation).
+            ``False`` the raw fast path runs instead (the same rules on
+            ndarrays, no graph, in-place accumulation).
         """
         if not self.requires_grad and self._ctx is None:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if not create_graph:
-            self._backward_raw(grad)
+            self._backward_arrays(grad)
             return
         if grad is None:
             if self.data.size != 1:
@@ -209,9 +214,7 @@ class Tensor:
                 ctx = node._ctx
                 if ctx is None:
                     continue
-                input_grads = ctx.backward(node_grad)
-                if not isinstance(input_grads, tuple):
-                    input_grads = (input_grads,)
+                input_grads = ctx.backward(node_grad, *ctx.inputs)
                 if len(input_grads) != len(ctx.inputs):
                     raise RuntimeError(
                         f"{type(ctx).__name__}.backward returned "
@@ -227,18 +230,18 @@ class Tensor:
                         parent_grad if existing is None else existing + parent_grad
                     )
 
-    def _backward_raw(self, grad):
+    def _backward_arrays(self, grad):
         """First-order backward on raw numpy arrays (no graph, no Tensors).
 
-        Runs each op's ``backward_raw`` rule and accumulates with
-        in-place ``np.add(..., out=)`` wherever the destination buffer
-        is one this traversal allocated itself.  Ops may hand back the
-        *same* array for several parents (e.g. ``Add`` without
-        broadcasting) or a view of the upstream gradient, so in-place
-        accumulation is gated on ownership: only arrays created by the
-        ``existing + new`` allocation below are ever mutated.  The
-        float ops and their order match the graph path exactly, so the
-        results are bit-identical.
+        Runs each op's ``backward`` rule on its inputs' arrays and
+        accumulates with in-place ``np.add(..., out=)`` wherever the
+        destination buffer is one this traversal allocated itself.  Ops
+        may hand back the *same* array for several parents (e.g. ``Add``
+        without broadcasting) or a view of the upstream gradient, so
+        in-place accumulation is gated on ownership: only arrays created
+        by the ``existing + new`` allocation below are ever mutated.
+        The rules are the graph path's, so the float ops and their order
+        match it exactly.
         """
         if grad is None:
             if self.data.size != 1:
@@ -259,78 +262,77 @@ class Tensor:
         # check against anything broader would corrupt aliases.
         owner = {}
 
-        with no_grad():
-            for node in topo:
-                node_grad = grads.pop(id(node), None)
-                if node_grad is None:
-                    continue
-                if type(node_grad) is not np.ndarray:
-                    # Ufuncs on 0-d operands return numpy scalars; the
-                    # raw rules below assume ndarray methods.
-                    node_grad = np.asarray(node_grad)
-                if node.requires_grad and node._ctx is None:
-                    # Leaf: accumulate into .grad, in place when the
-                    # existing buffer is accumulator-owned (satellite
-                    # fix: no `grad + g` allocation per accumulation).
-                    existing = node.grad
-                    if existing is None:
+        for node in topo:
+            node_grad = grads.pop(id(node), None)
+            if node_grad is None:
+                continue
+            if type(node_grad) is not np.ndarray:
+                # Ufuncs on 0-d operands return numpy scalars; the
+                # rules below assume ndarray methods.
+                node_grad = np.asarray(node_grad)
+            if node.requires_grad and node._ctx is None:
+                # Leaf: accumulate into .grad, in place when the
+                # existing buffer is accumulator-owned (no `grad + g`
+                # allocation per accumulation).
+                existing = node.grad
+                if existing is None:
+                    leaf = Tensor.__new__(Tensor)
+                    leaf.data = node_grad
+                    leaf.requires_grad = False
+                    leaf.grad = None
+                    leaf._ctx = None
+                    leaf._grad_owned = False
+                    node.grad = leaf
+                    node._grad_owned = owner.get(id(node)) is node_grad
+                else:
+                    data = existing.data
+                    if (
+                        node._grad_owned
+                        and data.dtype == node_grad.dtype
+                        and data.shape == node_grad.shape
+                    ):
+                        np.add(data, node_grad, out=data)
+                    else:
                         leaf = Tensor.__new__(Tensor)
-                        leaf.data = node_grad
+                        leaf.data = np.asarray(data + node_grad)
                         leaf.requires_grad = False
                         leaf.grad = None
                         leaf._ctx = None
                         leaf._grad_owned = False
                         node.grad = leaf
-                        node._grad_owned = owner.get(id(node)) is node_grad
-                    else:
-                        data = existing.data
-                        if (
-                            node._grad_owned
-                            and data.dtype == node_grad.dtype
-                            and data.shape == node_grad.shape
-                        ):
-                            np.add(data, node_grad, out=data)
-                        else:
-                            leaf = Tensor.__new__(Tensor)
-                            leaf.data = np.asarray(data + node_grad)
-                            leaf.requires_grad = False
-                            leaf.grad = None
-                            leaf._ctx = None
-                            leaf._grad_owned = False
-                            node.grad = leaf
-                            node._grad_owned = True
+                        node._grad_owned = True
+                continue
+            ctx = node._ctx
+            if ctx is None:
+                continue
+            input_grads = ctx.backward(node_grad, *map(_data, ctx.inputs))
+            if len(input_grads) != len(ctx.inputs):
+                raise RuntimeError(
+                    f"{type(ctx).__name__}.backward returned "
+                    f"{len(input_grads)} grads for {len(ctx.inputs)} inputs"
+                )
+            for parent, parent_grad in zip(ctx.inputs, input_grads):
+                if parent_grad is None:
                     continue
-                ctx = node._ctx
-                if ctx is None:
+                if not (parent.requires_grad or parent._ctx is not None):
                     continue
-                input_grads = ctx.backward_raw(node_grad)
-                if len(input_grads) != len(ctx.inputs):
-                    raise RuntimeError(
-                        f"{type(ctx).__name__}.backward returned "
-                        f"{len(input_grads)} grads for {len(ctx.inputs)} inputs"
-                    )
-                for parent, parent_grad in zip(ctx.inputs, input_grads):
-                    if parent_grad is None:
-                        continue
-                    if not (parent.requires_grad or parent._ctx is not None):
-                        continue
-                    pid = id(parent)
-                    existing = grads.get(pid)
-                    if existing is None:
-                        grads[pid] = parent_grad
-                    elif (
-                        owner.get(pid) is existing
-                        and existing.dtype == parent_grad.dtype
-                        and existing.shape == parent_grad.shape
-                    ):
-                        np.add(existing, parent_grad, out=existing)
-                    else:
-                        # asarray: ufuncs on 0-d operands hand back
-                        # numpy scalars, which cannot be an `out=`
-                        # target on the next accumulation.
-                        total = np.asarray(existing + parent_grad)
-                        grads[pid] = total
-                        owner[pid] = total
+                pid = id(parent)
+                existing = grads.get(pid)
+                if existing is None:
+                    grads[pid] = parent_grad
+                elif (
+                    owner.get(pid) is existing
+                    and existing.dtype == parent_grad.dtype
+                    and existing.shape == parent_grad.shape
+                ):
+                    np.add(existing, parent_grad, out=existing)
+                else:
+                    # asarray: ufuncs on 0-d operands hand back
+                    # numpy scalars, which cannot be an `out=`
+                    # target on the next accumulation.
+                    total = np.asarray(existing + parent_grad)
+                    grads[pid] = total
+                    owner[pid] = total
 
     def _topological_order(self):
         """Return graph nodes in reverse-dependency order (self first)."""
@@ -506,6 +508,9 @@ class Tensor:
 
 def _raw(value):
     return value.data if isinstance(value, Tensor) else value
+
+
+_data = attrgetter("data")
 
 
 # Give Function.apply a direct reference to Tensor (breaking the

@@ -127,6 +127,23 @@ class TestFig2:
         assert "||Hz||" in text
         assert isinstance(ex.check_fig2(result), list)
 
+    def test_probe_reads_the_given_run_cache(self, tmp_path, monkeypatch):
+        """The ``||Hz||`` probe loads its data from the run cache
+        ``run_fig2`` was given, not from a second entry in the default
+        run cache."""
+        import os
+
+        from repro.experiments.runner import clear_dataset_cache
+
+        default = tmp_path / "default"
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+        monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
+        clear_dataset_cache()  # the in-process memo would hide the write
+        ex.run_fig2(profile="smoke", cache_dir=str(runs), max_batches=1, workers=1)
+        assert not (default / "datasets").exists()
+        assert os.listdir(runs / "datasets")
+
 
 class TestFig3:
     def test_structure(self, cache_dir):

@@ -136,6 +136,11 @@ class TestFleetWorker:
         assert beat["state"] == "exited"
         assert supervisor.slots[0]["proc"].exitcode == 0
 
+    def test_workers_below_one_raise(self, tmp_run_cache):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            make_supervisor(tmp_run_cache, workers=0)
+        assert not os.path.exists(tmp_run_cache)
+
 
 @pytest.mark.slow
 class TestFleetDrill:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.experiments.cli import (
 )
 from repro.models import create_model
 from repro.serving import (
+    InferenceServer,
     ServingClient,
     load_artifact,
     model_spec,
@@ -135,3 +137,31 @@ class TestServeModel:
         monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
         with pytest.raises(SystemExit, match="no artifact"):
             main(["serve-model", "--artifact", "feedfacefeedface"])
+
+
+class TestServingValues:
+    """Values no server can run with are parse errors (exit 2) raised
+    before any server or fleet directory exists."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-model", "--artifact", "feedfacefeedface", "--workers", "0"],
+            ["serve-model", "--artifact", "feedfacefeedface", "--workers", "-2"],
+            ["serve-model", "--artifact", "feedfacefeedface", "--max-batch", "0"],
+            ["serve-model", "--artifact", "feedfacefeedface", "--max-delay-ms", "-1"],
+            ["serve", "--workers", "0", "--until-drained"],
+        ],
+    )
+    def test_exit_2_before_any_directory(self, argv, tmp_run_cache, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-seconds", "1"])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert not os.path.exists(tmp_run_cache)
+
+    def test_server_without_workers_raises(self, tmp_run_cache):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            InferenceServer("feedfacefeedface", cache_dir=tmp_run_cache, workers=0)
+        assert not os.path.exists(tmp_run_cache)

@@ -1,14 +1,20 @@
-"""Raw-path backward (``create_graph=False``) vs graph-path parity.
+"""Raw-route backward (``create_graph=False``) vs graph-route parity.
 
-``backward()`` without ``create_graph`` dispatches to per-op
-``backward_raw`` rules working on plain ndarrays (no graph nodes, no
-Tensor wrapping, in-place accumulation into owned buffers).  Every raw
-rule must issue the same numpy calls in the same order as its
-graph-valued twin, so first-order gradients are **bit-identical**
-between the two routes — that contract is what lets trainers mix raw
-and graph backwards freely (HERO does, per step).  Pinned here with
+Each op has one ``backward`` rule.  ``backward(create_graph=True)`` runs
+it on Tensors and records a differentiable graph; first-order
+``backward()`` runs it on the inputs' ndarrays (no graph nodes, no
+Tensor wrapping, in-place accumulation into owned buffers).  These tests
+check that every rule is written the same for both types (only
+operations the two share, every constant cast to the policy dtype), so
+the two routes give **bit-identical** gradients.  Pinned with
 ``tobytes()`` equality across ops, dtypes, precision policies,
-broadcasting patterns, and accumulation orders.
+broadcasting patterns, accumulation orders, and backpropagation through
+a ``create_graph`` gradient (HERO's penalty backward).
+
+The rules agree; the memory layouts need not.  Where the raw route hands
+a view (``Sum``'s broadcast adjoint, a ``Pad`` slice) and the graph route
+a C-ordered copy to an op whose sum reduces in layout order, the last
+bits can differ: a conv + BatchNorm graph shows it.
 """
 
 import numpy as np
@@ -258,4 +264,88 @@ class TestSeededBackward:
             return [np.array(p.grad.data, copy=True) for p in model.parameters()]
 
         for r, g in zip(run(False), run(True)):
+            assert r.tobytes() == g.tobytes()
+
+
+
+def second_order_via(fn, arrays, directions, create_graph):
+    """Backpropagate ``sum(g * v)`` for the ``create_graph`` gradient ``g``
+    of ``fn`` — the pattern of HERO's penalty backward and of
+    ``HVPOperator.matvec`` — and return each leaf's gradient."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    fn(*leaves).backward(create_graph=True)
+    grads = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.zero_grad()
+    inner = None
+    for grad, direction in zip(grads, directions):
+        term = (grad * Tensor(direction)).sum()
+        inner = term if inner is None else inner + term
+    inner.backward(create_graph=create_graph)
+    return [
+        None if leaf.grad is None else np.array(leaf.grad.data, copy=True)
+        for leaf in leaves
+    ]
+
+
+def _concat(x, y):
+    from repro.tensor import concat
+
+    return concat([x, y], axis=0)
+
+
+def _where(x, y):
+    from repro.tensor import where
+
+    cond = rand((2, 3), np.float64, 37) > 0
+    return where(cond, x, y * 2.0)
+
+
+#: One function per primitive, each with a nonzero second derivative so
+#: the first pass's gradient depends on the leaves: name -> (fn, shapes).
+SECOND_ORDER_CASES = {
+    "add_neg": (lambda x, y: ((x + y) * (x - y)).sum(), [(3, 1, 5), (4, 5)]),
+    "mul": (lambda x, y: (x * y * x).sum(), [(3, 1, 5), (4, 5)]),
+    "pow": (lambda x: (x ** 3).sum(), [(3, 4, 5)]),
+    "pow_rsqrt": (lambda x: ((x * x) + 1.0).pow(-0.5).sum(), [(3, 4, 5)]),
+    "matmul": (lambda x, y: ((x @ y) ** 2).sum(), [(5, 2, 4, 6), (2, 6, 3)]),
+    "exp": (lambda x: x.exp().sum(), [(3, 4, 5)]),
+    "log": (lambda x: ((x * x) + 1.0).log().sum(), [(3, 4, 5)]),
+    "tanh": (lambda x: x.tanh().sum(), [(3, 4, 5)]),
+    "sigmoid": (lambda x: x.sigmoid().sum(), [(3, 4, 5)]),
+    "relu": (lambda x: (x.relu() * x).sum(), [(3, 4, 5)]),
+    "abs": (lambda x: (x.abs() * x).sum(), [(3, 4, 5)]),
+    "clip": (lambda x: (x.clip(-0.5, 0.5) * x).sum(), [(3, 4, 5)]),
+    "maximum": (lambda x, y: (x.maximum(y) * x).sum(), [(3, 1, 5), (4, 5)]),
+    "minimum": (lambda x, y: (x.minimum(y) * y).sum(), [(3, 1, 5), (4, 5)]),
+    "where": (lambda x, y: (_where(x, y) ** 3).sum(), [(2, 3), (2, 3)]),
+    "sum": (lambda x: (x.sum(axis=0) * x.sum(axis=0)).sum(), [(3, 4, 5)]),
+    "max": (lambda x: (x.max(axis=1) * x.max(axis=1)).sum(), [(3, 4, 5)]),
+    "reshape_transpose": (lambda x: (x.reshape(6, 10).transpose() ** 2).sum(), [(3, 4, 5)]),
+    "expand": (lambda x: (x.expand_to((2, 3, 4, 5)) * x).sum(), [(3, 4, 5)]),
+    "pad": (lambda x: (x.pad(((1, 1), (0, 0), (2, 0))) ** 2).sum(), [(3, 4, 5)]),
+    "slice": (lambda x: (x[1:, ::2, :3] ** 2).sum(), [(3, 4, 5)]),
+    "take_flat": (lambda x: (x.take_flat(np.array([[0, 5], [3, 3]])) ** 2).sum(), [(3, 4, 5)]),
+    "concat": (lambda x, y: (_concat(x, y) ** 2).sum(), [(2, 3), (4, 3)]),
+}
+
+
+class TestSecondOrderParity:
+    """Backpropagating through a ``create_graph`` gradient runs each op's
+    rule on the first pass's graph — the adjoint ops ``Unslice``,
+    ``ScatterAddFlat`` and ``Expand`` included — and gives the same bits
+    raw and graph-valued."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("name", sorted(SECOND_ORDER_CASES))
+    def test_primitive(self, dtype, name):
+        fn, shapes = SECOND_ORDER_CASES[name]
+        arrays = [rand(shape, dtype, 30 + i) + 0.5 for i, shape in enumerate(shapes)]
+        directions = [rand(shape, dtype, 100 + i) for i, shape in enumerate(shapes)]
+        raw = second_order_via(fn, arrays, directions, create_graph=False)
+        graph = second_order_via(fn, arrays, directions, create_graph=True)
+        for r, g in zip(raw, graph):
+            assert r is not None and g is not None
+            assert r.dtype == g.dtype, (r.dtype, g.dtype)
+            assert r.shape == g.shape
             assert r.tobytes() == g.tobytes()

@@ -92,3 +92,30 @@ class TestCloneAndComparisons:
         t = Tensor(np.array([[1.0, -2.0], [5.0, 0.0]]))
         assert t.max().item() == 5.0
         assert t.min().item() == -2.0
+
+
+class TestNumpyOnTheLeft:
+    """A numpy value on the left of a Tensor defers to the Tensor's
+    reflected operators instead of building an object array."""
+
+    @pytest.mark.parametrize(
+        "left", [np.float32(2.0), np.full(3, 2.0, dtype=np.float32)], ids=["scalar", "array"]
+    )
+    def test_product_is_a_tensor_on_the_graph(self, left):
+        t = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        out = left * t
+        assert isinstance(out, Tensor)
+        out.sum().backward()
+        assert np.array_equal(t.grad.data, np.full(3, 2.0, dtype=t.dtype))
+
+    def test_reflected_add_sub_div(self):
+        t = Tensor(np.array([1.0, 2.0, 4.0]))
+        two = np.float32(2.0)
+        for out, expected in (
+            (two + t, [3.0, 4.0, 6.0]),
+            (two - t, [1.0, 0.0, -2.0]),
+            (two / t, [2.0, 1.0, 0.5]),
+            (np.ones(3, dtype=np.float32) - t, [0.0, -1.0, -3.0]),
+        ):
+            assert isinstance(out, Tensor)
+            assert np.allclose(out.data, expected)
