@@ -1,8 +1,9 @@
 """``repro.nn`` — neural-network layers on top of the autograd engine.
 
-All layers are composites of twice-differentiable primitives, so any
-model assembled from them supports the double backpropagation HERO's
-training rule requires.
+Every layer supports the double backpropagation HERO's training rule
+requires: most are composites of twice-differentiable primitives, and
+conv and BatchNorm are one op each whose adjoints belong to a set of
+ops closed under differentiation.
 """
 
 from .module import Module, Parameter, Sequential, Identity

@@ -20,18 +20,21 @@ def fold_conv_bn(conv, bn):
     """Return a new Conv2d equivalent to ``bn(conv(x))`` in eval mode.
 
     ``W' = W * gamma / sqrt(var + eps)`` (per output channel),
-    ``b' = (b - mean) * gamma / sqrt(var + eps) + beta``.
+    ``b' = (b - mean) * gamma / sqrt(var + eps) + beta``.  A missing
+    conv bias (and a non-affine BN's shift) is zeros in the conv
+    weight's dtype, so folding keeps a float32 model float32.
     """
     if conv.out_channels != bn.num_features:
         raise ValueError(
             f"conv out_channels {conv.out_channels} != bn features {bn.num_features}"
         )
+    dtype = conv.weight.data.dtype
     scale = 1.0 / np.sqrt(bn.running_var + bn.eps)
     if bn.affine:
         scale = scale * bn.weight.data
         shift = bn.bias.data
     else:
-        shift = np.zeros(bn.num_features)
+        shift = np.zeros(bn.num_features, dtype=dtype)
 
     folded = nn.Conv2d(
         conv.in_channels,
@@ -44,7 +47,7 @@ def fold_conv_bn(conv, bn):
         bias=True,
     )
     folded.weight.data = conv.weight.data * scale[:, None, None, None]
-    base_bias = conv.bias.data if conv.bias is not None else np.zeros(conv.out_channels)
+    base_bias = conv.bias.data if conv.bias is not None else np.zeros(conv.out_channels, dtype=dtype)
     folded.bias.data = (base_bias - bn.running_mean) * scale + shift
     return folded
 

@@ -14,8 +14,12 @@ Tensors and ndarrays share.  The same rule serves both autograd routes:
   entirely.
 
 Because both routes run one rule, they perform the same float
-operations in the same order (``tests/tensor/test_raw_backward.py``
-checks that their gradients agree bitwise).
+operations in the same order.  They also see the same memory layouts:
+a rule that slices or broadcasts the gradient does it through an op
+(``Slice``, ``Expand``) whose forward copies on both routes, because a
+later ``sum`` reduces in layout order and a view would round
+differently from the graph's copy.  ``tests/tensor/test_raw_backward.py``
+checks that the two routes' gradients agree bitwise.
 """
 
 import numpy as np
@@ -42,11 +46,11 @@ class Function:
         (graph route) or all ndarrays (first-order route), and returns
         a tuple with one gradient of the same type per input, or
         ``None`` for a non-differentiable input.  Write it with what
-        both types share (``+ - * @``, unary ``-``, ``**``, ``[]``,
+        both types share (``+ - * @``, unary ``-``, ``**``,
         ``reshape``, ``transpose``, ``swapaxes``, ``sum``), keep the
         gradient or an input on the left of each operator, wrap every
-        constant in :func:`as_array`, and reach other ops through
-        :func:`call` and :func:`expand`.
+        constant in :func:`as_array`, and reach other ops — slicing and
+        broadcasting included — through :func:`call`.
     """
 
     def __init__(self):
@@ -97,27 +101,16 @@ class Function:
         return f"<{type(self).__name__}>"
 
 
-def call(op, x, **kwargs):
-    """Run the op class ``op`` on ``x`` inside a backward rule.
+def call(op, *inputs, **kwargs):
+    """Run the op class ``op`` on ``inputs`` inside a backward rule.
 
-    A Tensor gets a graph node (``op.apply``); an ndarray gets the bare
+    The inputs are all Tensors or all ndarrays, like the rule's own.
+    Tensors get a graph node (``op.apply``); ndarrays get the bare
     forward, which makes the same numpy calls.
     """
-    if isinstance(x, _Tensor):
-        return op.apply(x, **kwargs)
-    return op().forward(x, **kwargs)
-
-
-def expand(grad, shape):
-    """Broadcast ``grad`` to ``shape`` inside a backward rule.
-
-    A Tensor is materialized by ``Expand``; an ndarray becomes a
-    read-only ``np.broadcast_to`` view with the same values (the raw
-    accumulator never writes into arrays it did not allocate).
-    """
-    if isinstance(grad, _Tensor):
-        return grad.expand_to(shape)
-    return np.broadcast_to(grad, shape)
+    if isinstance(inputs[0], _Tensor):
+        return op.apply(*inputs, **kwargs)
+    return op().forward(*inputs, **kwargs)
 
 
 def unbroadcast(grad, shape):

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from .function import Function, as_array, expand
+from .function import Function, as_array, call
+from .ops_shape import Expand
 
 
 def _normalize_axis(axis, ndim):
@@ -33,7 +34,7 @@ class Sum(Function):
     def backward(self, grad_out, a):
         mid_shape = _keepdims_shape(self.in_shape, self.axes)
         grad = grad_out if self.keepdims else grad_out.reshape(mid_shape)
-        return (expand(grad, self.in_shape),)
+        return (call(Expand, grad, shape=self.in_shape),)
 
 
 class Max(Function):
@@ -64,4 +65,4 @@ class Max(Function):
         grad = grad_out if self.keepdims else grad_out.reshape(mid_shape)
         # The tie-split mask holds non-dyadic values (1/3, ...), so its
         # cast to the policy dtype decides the product's bits.
-        return (expand(grad, self.in_shape) * as_array(self.mask),)
+        return (call(Expand, grad, shape=self.in_shape) * as_array(self.mask),)

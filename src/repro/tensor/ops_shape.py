@@ -5,12 +5,11 @@ provides the ``TakeFlat``/``ScatterAddFlat`` adjoint pair: a gather from
 the flattened tensor and its transpose, a scatter-add.  They are exact
 adjoints of each other, so each one's backward rule is the other —
 giving the engine support for arbitrary-order differentiation through
-im2col convolution, pooling window extraction and label lookup.
+pooling window extraction and label lookup.
 
-On ndarrays the ``Pad``/``Concat``/``Unslice`` adjoints return slices
-of the upstream gradient where the graph route copies them: values are
-identical, and the raw accumulator never mutates arrays it did not
-allocate, so aliasing is safe.
+The ``Pad``/``Concat``/``Unslice`` adjoints slice the upstream gradient
+through :class:`Slice`, whose forward copies, so both autograd routes
+hand the next rule a C-ordered array.
 """
 
 import numpy as np
@@ -64,7 +63,7 @@ class Pad(Function):
         return np.pad(a, pad_width, mode="constant", constant_values=value)
 
     def backward(self, grad_out, a):
-        return (grad_out[self.key],)
+        return (call(Slice, grad_out, key=self.key),)
 
 
 class Slice(Function):
@@ -89,7 +88,7 @@ class Unslice(Function):
         return out
 
     def backward(self, grad_out, a):
-        return (grad_out[self.key],)
+        return (call(Slice, grad_out, key=self.key),)
 
 
 class Concat(Function):
@@ -106,7 +105,7 @@ class Concat(Function):
         for size in self.sizes:
             key = [slice(None)] * grad_out.ndim
             key[self.axis] = slice(start, start + size)
-            grads.append(grad_out[tuple(key)])
+            grads.append(call(Slice, grad_out, key=tuple(key)))
             start += size
         return tuple(grads)
 

@@ -501,7 +501,7 @@ class Tensor:
         """Differentiable gather from the flattened tensor.
 
         ``out[i...] = self.ravel()[flat_indices[i...]]`` — the backbone of
-        im2col convolution, pooling window extraction and label lookup.
+        pooling window extraction and label lookup.
         """
         return ops_shape.TakeFlat.apply(self, indices=np.asarray(flat_indices))
 

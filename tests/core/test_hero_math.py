@@ -9,10 +9,11 @@ the double-backprop Hessian-penalty term.
 import numpy as np
 import pytest
 
-from repro import optim
+from repro import nn, optim
 from repro.core import HEROTrainer, SAMTrainer, GradL1Trainer, make_trainer
+from repro.core.perturbation import layer_adaptive_perturbation
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, dtype_context
 
 
 class VectorModel(Module):
@@ -238,3 +239,78 @@ class TestHEROOptimizesTarget:
         curvature_sgd = np.abs(12 * w_sgd ** 2 - 4).max()
         curvature_hero = np.abs(12 * w_hero ** 2 - 4).max()
         assert curvature_hero <= curvature_sgd + 1e-9
+
+
+class TestEq17OnConvBNNet:
+    """Eq. 17 on a real layer stack: a conv -> BatchNorm -> ReLU -> linear
+    net in float64, where the Hessian penalty's gradient runs through the
+    conv and BatchNorm adjoint ops.
+
+    With ``z`` and ``g`` frozen at the base point ``W`` (the Eq. 16
+    approximation), HERO's combined gradient is the gradient of
+    ``Phi(V) = L(V + h z) + gamma * sum_i penalty(dL/dW_i(V + h z) - g_i)``
+    at ``V = W``, checked coordinate by coordinate against a central
+    finite difference of ``Phi``.
+    """
+
+    H, GAMMA, EPS = 0.05, 0.5, 1e-6
+
+    @staticmethod
+    def build():
+        rng = np.random.default_rng(3)
+        net = nn.Sequential(
+            nn.Conv2d(2, 3, 3, padding=1, rng=rng),
+            nn.BatchNorm2d(3),
+            nn.ReLU(),
+            nn.GlobalAvgPool2d(),
+            nn.Linear(3, 2, rng=rng),
+        )
+        x = rng.standard_normal((6, 2, 4, 4))
+        y = rng.integers(0, 2, size=6)
+        return net, x, y
+
+    @pytest.mark.parametrize("penalty", ["norm", "sq_norm"])
+    def test_combined_gradient_matches_finite_difference(self, penalty):
+        with dtype_context("float64"):
+            net, x, y = self.build()
+            loss_fn = nn.CrossEntropyLoss()
+            params = list(net.parameters())
+            base = [p.data.copy() for p in params]
+
+            def loss_and_grads(weights):
+                for p, w in zip(params, weights):
+                    p.data = w.copy()
+                    p.grad = None
+                loss = loss_fn(net(Tensor(x)), y)
+                loss.backward()
+                return float(loss.data), [p.grad.data.copy() for p in params]
+
+            _, g = loss_and_grads(base)
+            offsets = layer_adaptive_perturbation(params, g, self.H)  # h * z at W
+
+            def phi(weights):
+                loss, grads = loss_and_grads([w + o for w, o in zip(weights, offsets)])
+                diffs = [gp - gc for gp, gc in zip(grads, g)]
+                if penalty == "norm":
+                    reg = sum(np.sqrt((d * d).sum() + 1e-12) for d in diffs)
+                else:
+                    reg = sum((d * d).sum() for d in diffs)
+                return loss + self.GAMMA * reg
+
+            numerical = []
+            for i, w in enumerate(base):
+                grad = np.zeros_like(w)
+                for j in range(w.size):
+                    shifted = [b.copy() for b in base]
+                    shifted[i].reshape(-1)[j] += self.EPS
+                    up = phi(shifted)
+                    shifted[i].reshape(-1)[j] -= 2 * self.EPS
+                    grad.reshape(-1)[j] = (up - phi(shifted)) / (2 * self.EPS)
+                numerical.append(grad)
+
+            for p, w in zip(params, base):
+                p.data = w.copy()
+            opt = optim.SGD(params, lr=1e-12)
+            HEROTrainer(net, loss_fn, opt, h=self.H, gamma=self.GAMMA, penalty=penalty).training_step(x, y)
+            for p, want in zip(params, numerical):
+                np.testing.assert_allclose(p.grad.data, want, rtol=1e-5, atol=1e-7)

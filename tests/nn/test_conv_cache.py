@@ -71,3 +71,41 @@ class TestBoundedLRU:
         info = im2col_cache_info()
         assert info == {"hits": 0, "misses": 0, "evictions": 0, "size": 0,
                         "maxsize": _INDEX_CACHE_MAX}
+
+
+class TestSharedByThreads:
+    def test_concurrent_lookups_with_evictions(self):
+        """A served model's worker threads share the cache.  With more
+        threads than cores, a tiny switch interval and more shapes than
+        the bound, every lookup succeeds and every one is counted once."""
+        import sys
+        import threading
+
+        shapes = [(1, 1, 4 + n, 4) for n in range(_INDEX_CACHE_MAX + 16)]
+        lookups_per_thread = 3 * len(shapes)
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(lookups_per_thread):
+                    shape = shapes[(offset * 7 + i) % len(shapes)]
+                    indices, _oh, _ow = im2col_indices(shape, (3, 3), (1, 1), (1, 1))
+                    assert indices.shape == (1, (shape[2] - 2) * 2, 1, 9)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = im2col_cache_info()
+        assert info["hits"] + info["misses"] == 4 * lookups_per_thread
+        assert info["size"] <= _INDEX_CACHE_MAX

@@ -70,6 +70,32 @@ class TestFolding:
         assert count >= 7  # stem + block convs + shortcut convs
         assert np.allclose(run_eval(folded, x), run_eval(model, x), atol=1e-8)
 
+    @pytest.mark.parametrize("name", ["resnet8", "mobilenetv2"])
+    def test_float32_model_stays_float32(self, name, rng, tmp_path):
+        """Bias-free convs get float32 zero biases, so the folded model, its
+        logits and its published artifact are float32 throughout."""
+        from repro.serving import load_artifact, model_spec, publish_artifact
+
+        model = create_model(name, num_classes=4, scale=0.5, seed=0)
+        x = rng.standard_normal((4, 3, 8, 8))
+        model.train()
+        with no_grad():
+            model(Tensor(x))
+        folded, count = fold_batchnorms(model)
+        assert count > 0
+        assert {p.data.dtype for p in folded.parameters()} == {np.dtype(np.float32)}
+        logits = run_eval(folded, x)
+        assert logits.dtype == np.float32
+        np.testing.assert_allclose(logits, run_eval(model, x), rtol=1e-4, atol=1e-5)
+        manifest = publish_artifact(
+            folded, model_spec(name, num_classes=4, scale=0.5), cache_dir=str(tmp_path),
+            bn_folded=True,
+        )
+        assert manifest.dtype == "float32"
+        state = load_artifact(manifest.key, str(tmp_path)).state
+        floating = [a for a in state.values() if np.issubdtype(a.dtype, np.floating)]
+        assert floating and all(a.dtype == np.float32 for a in floating)
+
     def test_original_untouched(self, rng):
         model = create_model("vgg6_bn", num_classes=4, scale=0.5, seed=0)
         before = {n: p.data.copy() for n, p in model.named_parameters()}

@@ -11,10 +11,10 @@ the two routes give **bit-identical** gradients.  Pinned with
 broadcasting patterns, accumulation orders, and backpropagation through
 a ``create_graph`` gradient (HERO's penalty backward).
 
-The rules agree; the memory layouts need not.  Where the raw route hands
-a view (``Sum``'s broadcast adjoint, a ``Pad`` slice) and the graph route
-a C-ordered copy to an op whose sum reduces in layout order, the last
-bits can differ: a conv + BatchNorm graph shows it.
+The memory layouts agree too: adjoints that slice or broadcast the
+gradient copy on both routes, so a later ``sum``, which reduces in
+layout order, rounds the same way.  Layer graphs (conv + BatchNorm,
+grouped, depthwise, BatchNorm1d) pin it.
 """
 
 import numpy as np
@@ -348,4 +348,70 @@ class TestSecondOrderParity:
             assert r is not None and g is not None
             assert r.dtype == g.dtype, (r.dtype, g.dtype)
             assert r.shape == g.shape
+            assert r.tobytes() == g.tobytes()
+
+
+def _conv_bn(x, w, gamma, beta):
+    """``nn.Conv2d(3, 4, 3, padding=1)`` -> ``nn.BatchNorm2d(4)``, cubed."""
+    from repro import nn
+
+    bn = nn.BatchNorm2d(4)
+    bn.weight, bn.bias = gamma, beta
+    out = bn(nn.conv2d(x, w, padding=1))
+    return (out * out * out).sum()
+
+
+def _grouped_strided(x, w, b):
+    from repro import nn
+
+    return (nn.conv2d(x, w, b, stride=2, padding=1, groups=2) ** 3).sum()
+
+
+def _depthwise(x, w):
+    from repro import nn
+
+    return (nn.conv2d(x, w, padding=1, groups=4).tanh() * x).sum()
+
+
+def _batch_norm_1d(x, gamma, beta):
+    from repro import nn
+
+    bn = nn.BatchNorm1d(5)
+    bn.weight, bn.bias = gamma, beta
+    out = bn(x)
+    return (out * out * out + out * x).sum()
+
+
+#: Layer graphs whose layouts differ between the routes unless every
+#: adjoint returns the same layout on both: name -> (fn, shapes).
+LAYER_CASES = {
+    "conv_bn": (_conv_bn, [(2, 3, 6, 6), (4, 3, 3, 3), (4,), (4,)]),
+    "grouped_strided_conv": (_grouped_strided, [(2, 4, 7, 7), (6, 2, 3, 3), (6,)]),
+    "depthwise_conv": (_depthwise, [(2, 4, 5, 5), (4, 1, 3, 3)]),
+    "batch_norm_1d": (_batch_norm_1d, [(6, 5), (5,), (5,)]),
+}
+
+
+class TestLayerParity:
+    """Conv and BatchNorm graphs give the same bits raw and graph-valued,
+    at first order and through a ``create_graph`` gradient."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("name", sorted(LAYER_CASES))
+    def test_first_order(self, dtype, name):
+        fn, shapes = LAYER_CASES[name]
+        with dtype_context(dtype):
+            assert_parity(fn, *(rand(shape, dtype, 40 + i) for i, shape in enumerate(shapes)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("name", sorted(LAYER_CASES))
+    def test_second_order(self, dtype, name):
+        fn, shapes = LAYER_CASES[name]
+        arrays = [rand(shape, dtype, 50 + i) for i, shape in enumerate(shapes)]
+        directions = [rand(shape, dtype, 60 + i) for i, shape in enumerate(shapes)]
+        with dtype_context(dtype):
+            raw = second_order_via(fn, arrays, directions, create_graph=False)
+            graph = second_order_via(fn, arrays, directions, create_graph=True)
+        for r, g in zip(raw, graph):
+            assert r.dtype == g.dtype, (r.dtype, g.dtype)
             assert r.tobytes() == g.tobytes()
