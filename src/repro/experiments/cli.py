@@ -47,6 +47,7 @@ per-shard generated/cached mix is reported for each split.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -213,14 +214,14 @@ def build_parser():
     )
     queue_group.add_argument(
         "--lease-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="seconds before a dead worker's leased task may be stolen "
         "(set at queue creation; default: scheduler default)",
     )
     queue_group.add_argument(
         "--max-tasks",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker verb: exit after executing this many tasks",
     )
@@ -233,13 +234,13 @@ def build_parser():
     fleet_group = parser.add_argument_group("fleet service (serve/queue-status verbs)")
     fleet_group.add_argument(
         "--poll",
-        type=float,
+        type=_positive_float,
         default=None,
         help="serve: seconds between supervision passes (default: 0.25)",
     )
     fleet_group.add_argument(
         "--heartbeat-interval",
-        type=float,
+        type=_positive_float,
         default=None,
         help="serve: seconds between worker heartbeat writes (default: 2)",
     )
@@ -251,7 +252,7 @@ def build_parser():
     )
     fleet_group.add_argument(
         "--max-seconds",
-        type=float,
+        type=_non_negative_float,
         default=None,
         help="serve: hard wall-clock bound on the supervisor",
     )
@@ -333,7 +334,8 @@ def build_parser():
 
 
 def _positive_int(text):
-    """argparse type of the dataset sizes and ``--max-batch``: an integer of at least 1."""
+    """argparse type of the dataset sizes, ``--max-batch`` and
+    ``--max-tasks``: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -344,14 +346,27 @@ def _positive_int(text):
 
 
 def _non_negative_float(text):
-    """argparse type of ``--max-delay-ms``: a number of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    """argparse type of ``--max-delay-ms`` and ``--max-seconds``: a number of at least 0."""
+    value = _float(text)
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
+
+
+def _positive_float(text):
+    """argparse type of ``--lease-timeout``, ``--poll`` and
+    ``--heartbeat-interval``: a finite number greater than 0."""
+    value = _float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number greater than 0, got {value}")
+    return value
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _csv(value):

@@ -157,6 +157,7 @@ def publish_artifact(
     """
     base, activation = _strip_activation_quantizers(model)
     state = base.state_dict()
+    dtype = _state_dtype(state)
     weights_sha = _weights_digest(state)
     if not isinstance(spec, ArtifactModelV1):
         spec = model_spec(**dict(spec))
@@ -175,7 +176,7 @@ def publish_artifact(
         created_at=float(clock()),
         source=source,
         model=spec,
-        dtype=_state_dtype(state),
+        dtype=dtype,
         bn_folded=bool(bn_folded),
         weight_quant=weight_quant,
         activation_quant=activation,
@@ -293,15 +294,24 @@ def _content_key(spec, bn_folded, weight_quant, activation, weights_sha):
 
 
 def _state_dtype(state):
-    """The (single) floating dtype of the stored weights."""
+    """The one floating dtype of the stored weights (the policy's if none).
+
+    A state dict holding two floating dtypes raises ``ValueError``: the
+    manifest names one dtype, and it must be every stored array's.
+    """
     dtypes = sorted(
         {str(a.dtype) for a in state.values() if np.issubdtype(a.dtype, np.floating)}
     )
-    if len(dtypes) == 1:
+    if len(dtypes) > 1:
+        raise ValueError(
+            f"cannot publish weights in mixed floating dtypes {' and '.join(dtypes)}; "
+            "cast the model to one precision first"
+        )
+    if dtypes:
         return dtypes[0]
     from ..tensor import default_dtype
 
-    return str(np.dtype(default_dtype())) if not dtypes else dtypes[0]
+    return str(np.dtype(default_dtype()))
 
 
 def _load_entry(path):

@@ -1,9 +1,9 @@
 """Gradient-mode switch for the autograd engine (thread-local).
 
 The engine builds a computation graph only while grad mode is enabled
-(the default).  ``no_grad`` disables graph construction, which is used
-both by user code (evaluation loops, optimizer updates) and internally
-by ``Tensor.backward`` when ``create_graph=False``.
+(the default).  ``no_grad`` disables graph construction (evaluation
+loops, optimizer updates); ``enable_grad`` turns it back on, which
+``Tensor.backward(create_graph=True)`` does for its traversal.
 
 The mode is **per thread**: concurrent inference threads (the serving
 layer's workers) each toggle their own flag, so interleaved

@@ -3,7 +3,8 @@
 Every primitive op in the engine is a :class:`Function`.  A ``Function``
 instance records its input tensors when applied, and its ``backward``
 method expresses the vector-Jacobian product with operations that
-Tensors and ndarrays share.  The same rule serves both autograd routes:
+Tensors and ndarrays share.  ``Tensor.backward`` is one traversal, and
+the same rule serves both of its routes:
 
 * ``Tensor.backward(create_graph=True)`` calls it with Tensors, so the
   backward pass is itself a differentiable graph — which is exactly
@@ -82,7 +83,6 @@ class Function:
         out.data = out_data
         out.requires_grad = needs_graph
         out.grad = None
-        out._grad_owned = False
         if needs_graph:
             ctx.inputs = tensors
             ctx.requires_grad = True

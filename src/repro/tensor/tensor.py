@@ -10,14 +10,15 @@ The design follows the PyTorch model closely:
   differentiable graph, enabling Hessian-vector products and the
   double-backpropagation HERO requires.
 
-First-order ``backward()`` (``create_graph=False``) takes a raw fast
-path: each op's one ``backward`` rule runs on the inputs' numpy arrays
-instead of the Tensors — no Tensor wrapping, no graph bookkeeping — and
-gradient accumulation is performed in place (``np.add(..., out=)``)
-into arrays the traversal itself allocated.  Both routes run the same
-rule, so they perform the same float operations in the same order.
+Both are one traversal over two input types.  First-order
+``backward()`` (``create_graph=False``) hands each op's one ``backward``
+rule the inputs' numpy arrays instead of the Tensors — no Tensor
+wrapping, no graph bookkeeping — and sums gradients as arrays.  Both
+routes run the same rules and accumulate with ``existing + new``, so
+they perform the same float operations in the same order.
 """
 
+from contextlib import nullcontext
 from operator import attrgetter
 
 import numpy as np
@@ -46,7 +47,7 @@ class Tensor:
         Optional explicit dtype; ``None`` follows the policy.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_ctx", "_grad_owned")
+    __slots__ = ("data", "requires_grad", "grad", "_ctx")
 
     # An ndarray or numpy scalar on the left of a Tensor defers to the
     # Tensor's reflected operators instead of building an object array.
@@ -57,10 +58,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._ctx = None
-        # True when `.grad`'s buffer was allocated by the autograd
-        # accumulator itself (safe to np.add(..., out=) into); False for
-        # externally assigned gradients, which are never mutated.
-        self._grad_owned = False
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -162,7 +159,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._grad_owned = False
 
     # ------------------------------------------------------------------
     # Backward
@@ -178,14 +174,11 @@ class Tensor:
             When ``True`` the backward computation is itself recorded,
             so the resulting ``.grad`` tensors are differentiable (used
             for Hessian-vector products and HERO's Eq. 16/17).  When
-            ``False`` the raw fast path runs instead (the same rules on
-            ndarrays, no graph, in-place accumulation).
+            ``False`` each op's rule runs on its inputs' ndarrays and the
+            leaves receive detached gradients.
         """
         if not self.requires_grad and self._ctx is None:
             raise RuntimeError("backward() on a tensor that does not require grad")
-        if not create_graph:
-            self._backward_arrays(grad)
-            return
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar backward()")
@@ -194,27 +187,28 @@ class Tensor:
             grad = Tensor.as_tensor(grad)
 
         topo = self._topological_order()
-        grads = {id(self): grad}
+        grads = {id(self): grad if create_graph else grad.data}
 
-        with enable_grad():
+        with enable_grad() if create_graph else nullcontext():
             for node in topo:
                 node_grad = grads.pop(id(node), None)
                 if node_grad is None:
                     continue
-                if node.requires_grad and node._ctx is None:
-                    # Leaf: accumulate into .grad.  Graph-valued grads
-                    # never reuse an existing buffer — HVPs and HERO's
-                    # double backprop need the full history.
-                    if node.grad is None:
-                        node.grad = node_grad
-                    else:
-                        node.grad = node.grad + node_grad
-                    node._grad_owned = False
-                    continue
                 ctx = node._ctx
                 if ctx is None:
+                    # Leaf: accumulate into .grad.  Graph-valued grads
+                    # keep their history (HVPs and HERO's double
+                    # backprop differentiate through it); raw ones are
+                    # summed as arrays into a fresh detached Tensor.
+                    if create_graph:
+                        node.grad = node_grad if node.grad is None else node.grad + node_grad
+                    else:
+                        if node.grad is not None:
+                            node_grad = node.grad.data + node_grad
+                        node.grad = Tensor(node_grad, dtype=node_grad.dtype)
                     continue
-                input_grads = ctx.backward(node_grad, *ctx.inputs)
+                inputs = ctx.inputs if create_graph else map(_data, ctx.inputs)
+                input_grads = ctx.backward(node_grad, *inputs)
                 if len(input_grads) != len(ctx.inputs):
                     raise RuntimeError(
                         f"{type(ctx).__name__}.backward returned "
@@ -229,110 +223,6 @@ class Tensor:
                     grads[id(parent)] = (
                         parent_grad if existing is None else existing + parent_grad
                     )
-
-    def _backward_arrays(self, grad):
-        """First-order backward on raw numpy arrays (no graph, no Tensors).
-
-        Runs each op's ``backward`` rule on its inputs' arrays and
-        accumulates with in-place ``np.add(..., out=)`` wherever the
-        destination buffer is one this traversal allocated itself.  Ops
-        may hand back the *same* array for several parents (e.g. ``Add``
-        without broadcasting) or a view of the upstream gradient, so
-        in-place accumulation is gated on ownership: only arrays created
-        by the ``existing + new`` allocation below are ever mutated.
-        The rules are the graph path's, so the float ops and their order
-        match it exactly.
-        """
-        if grad is None:
-            if self.data.size != 1:
-                raise RuntimeError("grad must be provided for non-scalar backward()")
-            seed = np.ones_like(self.data)
-        elif isinstance(grad, Tensor):
-            seed = grad.data
-        else:
-            seed = as_array(grad)
-
-        topo = self._topological_order()
-        grads = {id(self): seed}
-        # node-id -> accumulation buffer allocated *for that node*.  An
-        # array may be mutated in place only while it is the buffer of
-        # the node being accumulated: ops can hand the same array to
-        # several parents (``Add`` without broadcasting) or pass the
-        # upstream gradient through (``Pow(p=1)``), so an identity
-        # check against anything broader would corrupt aliases.
-        owner = {}
-
-        for node in topo:
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if type(node_grad) is not np.ndarray:
-                # Ufuncs on 0-d operands return numpy scalars; the
-                # rules below assume ndarray methods.
-                node_grad = np.asarray(node_grad)
-            if node.requires_grad and node._ctx is None:
-                # Leaf: accumulate into .grad, in place when the
-                # existing buffer is accumulator-owned (no `grad + g`
-                # allocation per accumulation).
-                existing = node.grad
-                if existing is None:
-                    leaf = Tensor.__new__(Tensor)
-                    leaf.data = node_grad
-                    leaf.requires_grad = False
-                    leaf.grad = None
-                    leaf._ctx = None
-                    leaf._grad_owned = False
-                    node.grad = leaf
-                    node._grad_owned = owner.get(id(node)) is node_grad
-                else:
-                    data = existing.data
-                    if (
-                        node._grad_owned
-                        and data.dtype == node_grad.dtype
-                        and data.shape == node_grad.shape
-                    ):
-                        np.add(data, node_grad, out=data)
-                    else:
-                        leaf = Tensor.__new__(Tensor)
-                        leaf.data = np.asarray(data + node_grad)
-                        leaf.requires_grad = False
-                        leaf.grad = None
-                        leaf._ctx = None
-                        leaf._grad_owned = False
-                        node.grad = leaf
-                        node._grad_owned = True
-                continue
-            ctx = node._ctx
-            if ctx is None:
-                continue
-            input_grads = ctx.backward(node_grad, *map(_data, ctx.inputs))
-            if len(input_grads) != len(ctx.inputs):
-                raise RuntimeError(
-                    f"{type(ctx).__name__}.backward returned "
-                    f"{len(input_grads)} grads for {len(ctx.inputs)} inputs"
-                )
-            for parent, parent_grad in zip(ctx.inputs, input_grads):
-                if parent_grad is None:
-                    continue
-                if not (parent.requires_grad or parent._ctx is not None):
-                    continue
-                pid = id(parent)
-                existing = grads.get(pid)
-                if existing is None:
-                    grads[pid] = parent_grad
-                elif (
-                    owner.get(pid) is existing
-                    and existing.dtype == parent_grad.dtype
-                    and existing.shape == parent_grad.shape
-                ):
-                    np.add(existing, parent_grad, out=existing)
-                else:
-                    # asarray: ufuncs on 0-d operands hand back
-                    # numpy scalars, which cannot be an `out=`
-                    # target on the next accumulation.
-                    total = np.asarray(existing + parent_grad)
-                    grads[pid] = total
-                    owner[pid] = total
 
     def _topological_order(self):
         """Return graph nodes in reverse-dependency order (self first)."""

@@ -1,6 +1,7 @@
 """CLI entry point for the experiment harness."""
 
 import io
+import os
 
 import pytest
 
@@ -53,6 +54,49 @@ class TestParser:
         assert exited.value.code == 2
         assert flag in capsys.readouterr().err
         assert not cache.exists()
+
+
+class TestQueueAndFleetValues:
+    """Intervals and caps no queue, fleet or server can run with are
+    parse errors (exit 2) raised before any directory exists."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["sweep", "--lease-timeout", "0"], "--lease-timeout", "greater than 0"),
+            (["sweep", "--lease-timeout", "-5"], "--lease-timeout", "greater than 0"),
+            (["worker", "--lease-timeout", "nan"], "--lease-timeout", "greater than 0"),
+            (["serve-model", "--artifact", "feedfacefeedface", "--lease-timeout", "0"],
+             "--lease-timeout", "greater than 0"),
+            (["worker", "--max-tasks", "0"], "--max-tasks", "at least 1"),
+            (["serve", "--poll", "-1"], "--poll", "greater than 0"),
+            (["serve", "--poll", "inf"], "--poll", "finite"),
+            (["serve", "--heartbeat-interval", "0"], "--heartbeat-interval", "greater than 0"),
+            (["serve", "--max-seconds", "-1"], "--max-seconds", "at least 0"),
+        ],
+    )
+    def test_exit_2_before_any_directory(
+        self, argv, flag, message, tmp_run_cache, monkeypatch, capsys
+    ):
+        from repro.experiments.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--profile", "smoke"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
+        assert not os.path.exists(tmp_run_cache)
+
+    def test_valid_values_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--poll", "0.2", "--heartbeat-interval", "2", "--max-seconds", "0",
+             "--lease-timeout", "5", "--max-tasks", "1"]
+        )
+        assert (args.poll, args.heartbeat_interval, args.max_seconds) == (0.2, 2.0, 0.0)
+        assert (args.lease_timeout, args.max_tasks) == (5.0, 1)
+        # serve-model falls back to its 5 s lease when the flag is absent
+        assert build_parser().parse_args(["serve-model"]).lease_timeout is None
 
 
 class TestDatagenCommand:

@@ -178,6 +178,14 @@ class TestErrors:
                 weight_quant={"bits": 8},
             )
 
+    def test_mixed_floating_dtypes_refuse_to_publish(self, tmp_path):
+        model = make_model()
+        param = next(iter(model.parameters()))
+        param.data = param.data.astype(np.float64)
+        with pytest.raises(ValueError, match="float32 and float64"):
+            publish_artifact(model, model_spec(**MODEL), cache_dir=str(tmp_path))
+        assert list_artifacts(str(tmp_path)) == []
+
     def test_list_artifacts_empty_cache(self, tmp_path):
         assert list_artifacts(str(tmp_path)) == []
 

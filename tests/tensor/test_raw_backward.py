@@ -1,21 +1,25 @@
 """Raw-route backward (``create_graph=False``) vs graph-route parity.
 
-Each op has one ``backward`` rule.  ``backward(create_graph=True)`` runs
-it on Tensors and records a differentiable graph; first-order
-``backward()`` runs it on the inputs' ndarrays (no graph nodes, no
-Tensor wrapping, in-place accumulation into owned buffers).  These tests
-check that every rule is written the same for both types (only
-operations the two share, every constant cast to the policy dtype), so
-the two routes give **bit-identical** gradients.  Pinned with
-``tobytes()`` equality across ops, dtypes, precision policies,
-broadcasting patterns, accumulation orders, and backpropagation through
-a ``create_graph`` gradient (HERO's penalty backward).
+Each op has one ``backward`` rule, and ``Tensor.backward`` is one
+traversal that runs it on one of two input types:
+``backward(create_graph=True)`` hands it Tensors and records a
+differentiable graph; first-order ``backward()`` hands it the inputs'
+ndarrays (no graph nodes, no Tensor wrapping).  Both routes accumulate
+with ``existing + new``.  These tests check that every rule is written
+the same for both types (only operations the two share, every constant
+cast to the policy dtype), so the two routes give **bit-identical**
+gradients.  Pinned with ``tobytes()`` equality across ops, dtypes,
+precision policies, broadcasting patterns, accumulation orders, and
+backpropagation through a ``create_graph`` gradient (HERO's penalty
+backward).
 
 The memory layouts agree too: adjoints that slice or broadcast the
 gradient copy on both routes, so a later ``sum``, which reduces in
 layout order, rounds the same way.  Layer graphs (conv + BatchNorm,
 grouped, depthwise, BatchNorm1d) pin it.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,7 +167,8 @@ class TestMatMul:
 
 
 class TestAccumulationAliasing:
-    """Graphs that exercise the raw accumulator's ownership rules."""
+    """Graphs where rules hand one array to several parents or pass it
+    through, and several paths accumulate into one node."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize(
@@ -196,27 +201,53 @@ class TestAccumulationAliasing:
 
         assert run(False).tobytes() == run(True).tobytes()
 
-    def test_inplace_leaf_accumulation_reuses_buffer(self):
-        # Multi-path graphs leave the leaf owning its grad buffer; a
-        # second raw backward must accumulate in place, not reallocate
-        # (the satellite fix this file pins).
-        x = Tensor(rand((3, 4), np.float32, 17), requires_grad=True)
-        ((x * 2.0) + (x * 3.0)).sum().backward()
-        buf = x.grad.data
-        ((x * 2.0) + (x * 3.0)).sum().backward()
-        assert x.grad.data is buf  # same ndarray, updated in place
-
     @pytest.mark.parametrize("first", ["raw", "graph"])
     def test_mixed_route_accumulation(self, first):
         def run(order):
             x = Tensor(rand((3, 4), np.float64, 18), requires_grad=True)
             for route in order:
                 (x * x).sum().backward(create_graph=(route == "graph"))
-            return np.array(x.grad.data, copy=True)
+            return x.grad
 
         a = run([first, "raw" if first == "graph" else "graph"])
         b = run(["graph", "graph"])
-        assert a.tobytes() == b.tobytes()
+        assert a.data.tobytes() == b.data.tobytes()
+        if first == "graph":
+            # A raw backward onto a graph-valued .grad sums the arrays
+            # and leaves a detached gradient.
+            assert a._ctx is None and not a.requires_grad
+
+    def test_seed_tensor_stays_in_graph(self):
+        # d/dv of sum(v * dy/dx) for y = x * x is 2x: the seed must stay
+        # connected on the graph route, not be wrapped as a constant.
+        x = Tensor(rand((3, 4), np.float64, 25), requires_grad=True)
+        v = Tensor(rand((3, 4), np.float64, 26), requires_grad=True)
+        (x * x).backward(v, create_graph=True)
+        x.grad.sum().backward()
+        assert v.grad is not None
+        np.testing.assert_array_equal(v.grad.data, 2.0 * x.data)
+
+
+class TestTraversalMemory:
+    @staticmethod
+    def backward_peak(depth):
+        x = Tensor(rand(2**17, np.float32, 27), requires_grad=True)  # 0.5 MiB
+        h = x
+        for _ in range(depth):
+            h = h * 2.0 + h * 3.0 + h * 0.5
+        loss = h.sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_first_order_peak_does_not_grow_with_depth(self):
+        # Each interior gradient is freed once its node has run, so the
+        # first-order peak is a few gradients whatever the depth.
+        shallow, deep = self.backward_peak(5), self.backward_peak(40)
+        assert deep <= 1.5 * shallow, (shallow, deep)
 
 
 class TestPolicyInteraction:
