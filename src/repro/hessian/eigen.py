@@ -7,7 +7,6 @@ Fig. 2 bench alongside the cheaper ``||Hz||`` proxy).
 """
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ..tensor import VERIFY_DTYPE
 
@@ -71,7 +70,14 @@ def lanczos_eigenvalues(hvp_fn, shapes, k=3, which="LA", seed=0, maxiter=None):
 
     ``which="LA"`` returns the largest algebraic eigenvalues (the
     quantity in Theorem 3); ``"LM"`` the largest in magnitude.
+
+    Needs scipy (the ``dev`` extra), imported here rather than at module
+    level: every worker, server and CLI process imports this module, and
+    none of them runs an eigensolve.  Without scipy this raises
+    ``ImportError``; :func:`power_iteration` needs numpy only.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     total = int(sum(np.prod(s) if s else 1 for s in shapes))
     rng = np.random.default_rng(seed)
 

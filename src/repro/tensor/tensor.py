@@ -176,6 +176,13 @@ class Tensor:
             for Hessian-vector products and HERO's Eq. 16/17).  When
             ``False`` each op's rule runs on its inputs' ndarrays and the
             leaves receive detached gradients.
+
+        A first-order leaf gradient owns its array: it shares memory
+        with no other leaf's gradient and not with ``grad``, so editing
+        ``.grad.data`` in place touches that leaf alone.  The graph
+        route stores the gradient Tensor itself, which leaves may share
+        with each other and with ``grad``: graph Tensors are never
+        mutated in place, and a copy would add a node to every step.
         """
         if not self.requires_grad and self._ctx is None:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -203,8 +210,12 @@ class Tensor:
                     if create_graph:
                         node.grad = node_grad if node.grad is None else node.grad + node_grad
                     else:
-                        if node.grad is not None:
-                            node_grad = node.grad.data + node_grad
+                        # Copy the first gradient (in its own layout): a
+                        # rule may hand one array to several parents, and
+                        # the seed is the caller's.
+                        node_grad = (
+                            np.array(node_grad) if node.grad is None else node.grad.data + node_grad
+                        )
                         node.grad = Tensor(node_grad, dtype=node_grad.dtype)
                     continue
                 inputs = ctx.inputs if create_graph else map(_data, ctx.inputs)

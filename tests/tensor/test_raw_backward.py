@@ -17,6 +17,9 @@ The memory layouts agree too: adjoints that slice or broadcast the
 gradient copy on both routes, so a later ``sum``, which reduces in
 layout order, rounds the same way.  Layer graphs (conv + BatchNorm,
 grouped, depthwise, BatchNorm1d) pin it.
+
+A first-order leaf gradient owns its array: no other leaf and not the
+caller's seed shares its memory.
 """
 
 import tracemalloc
@@ -226,6 +229,32 @@ class TestAccumulationAliasing:
         x.grad.sum().backward()
         assert v.grad is not None
         np.testing.assert_array_equal(v.grad.data, 2.0 * x.data)
+
+
+class TestLeafGradientOwnership:
+    """A first-order leaf gradient shares memory with nothing another
+    leaf or the caller holds, so an in-place edit of one stays local."""
+
+    def test_leaves_fed_one_array_do_not_alias(self):
+        # Add hands its upstream array, here the caller's seed, to both
+        # parents unchanged.
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        g = np.arange(3, dtype=a.dtype)
+        (a + b).backward(g)
+        assert not np.shares_memory(a.grad.data, b.grad.data)
+        assert not np.shares_memory(a.grad.data, g)
+        assert not np.shares_memory(b.grad.data, g)
+        a.grad.data *= 10
+        np.testing.assert_array_equal(b.grad.data, [0, 1, 2])
+        np.testing.assert_array_equal(g, [0, 1, 2])
+
+    def test_leaf_seed_is_copied(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        g = np.arange(3, dtype=x.dtype)
+        x.backward(g)
+        assert x.grad.data is not g
+        assert not np.shares_memory(x.grad.data, g)
 
 
 class TestTraversalMemory:
