@@ -5,7 +5,7 @@ The paper's four training methods share one :class:`Trainer` loop:
 ========================  =====================================
 ``"sgd"``                 :class:`ERMTrainer` (plain SGD)
 ``"grad_l1"``             :class:`GradL1Trainer` (Alizadeh [1])
-``"first_order"``         :class:`SAMTrainer` (Table 3 ablation)
+``"first_order"``         :class:`SAMTrainer` (HERO at gamma = 0, Table 3 ablation)
 ``"hero"``                :class:`HEROTrainer` (Algorithm 1)
 ========================  =====================================
 
@@ -30,7 +30,7 @@ from .callbacks import (
 from .perturbation import (
     layer_adaptive_perturbation,
     global_perturbation,
-    apply_offsets,
+    at_weights,
     PERTURBATIONS,
 )
 
@@ -82,7 +82,7 @@ __all__ = [
     "EarlyStopping",
     "layer_adaptive_perturbation",
     "global_perturbation",
-    "apply_offsets",
+    "at_weights",
     "PERTURBATIONS",
     "available_methods",
     "make_trainer",

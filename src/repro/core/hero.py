@@ -15,6 +15,10 @@ Per batch:
     ``dW_i = dL/dW_i* + gamma * dG/dW_i*`` (the ``alpha W`` weight
     decay lives in the optimizer, shared by all methods).
 
+Steps 3-5 run inside :func:`~repro.core.perturbation.at_weights`.  At
+``gamma = 0`` step 3 is a plain backward and steps 4-5 are skipped: the
+first_order arm (:class:`~repro.core.sam.SAMTrainer`).
+
 ``penalty="norm"`` follows Algorithm 1 line 10 literally
 (``||.||_2``); ``penalty="sq_norm"`` matches the ``sum lambda_i^2``
 formulation of Eq. 13 — both are exposed and compared in the ablation
@@ -36,7 +40,7 @@ bench.
 import numpy as np
 
 from ..tensor import Tensor
-from .perturbation import PERTURBATIONS, apply_offsets
+from .perturbation import PERTURBATIONS, at_weights
 from .trainer import Trainer
 
 _PENALTY_EPS = 1e-12
@@ -54,7 +58,7 @@ class HEROTrainer(Trainer):
         Perturbation step size (paper: 0.5 for CIFAR-10, 1.0 otherwise).
     gamma:
         Hessian regularization strength (paper grid:
-        {0.01, 0.05, 0.1, 0.5, 1.0, 5.0}).
+        {0.01, 0.05, 0.1, 0.5, 1.0, 5.0}); 0 is the first_order arm.
     penalty:
         ``"norm"`` (Algorithm 1) or ``"sq_norm"`` (Eq. 13 form).
     perturbation:
@@ -113,37 +117,30 @@ class HEROTrainer(Trainer):
         loss.backward()
         clean_grads = self._collect_grads(detach=True)
 
-        # (2) Eq. 15 perturbation, applied in place
+        # (2) Eq. 15 perturbation: evaluate at W* = W + h z
         offsets = PERTURBATIONS[self.perturbation](self.params, clean_grads, self.h)
-        apply_offsets(self.params, offsets, sign=+1.0)
-
-        try:
-            # (3) perturbed gradient, kept differentiable
+        penalized = self.gamma > 0
+        with at_weights(self.params, self._shifted(offsets)):
+            # (3) perturbed gradient, kept differentiable for the penalty
             self._clear_grads()
             perturbed_loss, _ = self._forward_loss(x, y)
-            perturbed_loss.backward(create_graph=True)
-            perturbed_grads = self._collect_grads(detach=False)
-            self._clear_grads()
+            perturbed_loss.backward(create_graph=penalized)
+            grads = self._collect_grads(detach=not penalized)
 
-            # (4) Hessian penalty and its gradient at W*
-            regularizer = self._hessian_penalty(perturbed_grads, clean_grads)
-            if regularizer is not None and self.gamma > 0:
-                regularizer.backward()
-            reg_grads = [
-                np.zeros_like(p.data) if p.grad is None else p.grad.data
-                for p in self.params
-            ]
+            if penalized:
+                # (4) Hessian penalty and its gradient at W*
+                self._clear_grads()
+                regularizer = self._hessian_penalty(grads, clean_grads)
+                if regularizer is not None:
+                    regularizer.backward()
 
-            # (5) Eq. 17 combined gradient
-            combined = [
-                self._grad_data(gp) + self.gamma * gr
-                for gp, gr in zip(perturbed_grads, reg_grads)
-            ]
-        finally:
-            # Restore the unperturbed weights before the optimizer step.
-            apply_offsets(self.params, offsets, sign=-1.0)
+                # (5) Eq. 17 combined gradient
+                grads = [
+                    gp.data + self.gamma * gr.data
+                    for gp, gr in zip(grads, self._collect_grads(detach=False))
+                ]
 
-        self._set_grads(combined)
+        self._set_grads(grads)
         return float(loss.data), logits
 
     def _training_step_exact(self, x, y):
@@ -159,7 +156,7 @@ class HEROTrainer(Trainer):
         loss, logits = self._forward_loss(x, y)
         loss.backward(create_graph=True)
         graph_grads = self._collect_grads(detach=False)
-        clean_grads = [self._grad_data(g).copy() for g in graph_grads]
+        clean_grads = [g.data.copy() for g in graph_grads]
         self._clear_grads()
 
         # (2) Eq. 15 direction z (constants w.r.t. differentiation)
@@ -186,25 +183,22 @@ class HEROTrainer(Trainer):
                 penalty = term if penalty is None else penalty + term
             if penalty is not None and (penalty._ctx is not None or penalty.requires_grad):
                 penalty.backward()
-                reg_grads = [
-                    np.zeros_like(p.data) if p.grad is None else p.grad.data
-                    for p in self.params
-                ]
+                reg_grads = [g.data for g in self._collect_grads(detach=False)]
         self._clear_grads()
 
         # (5) first-order term at the perturbed point + combined update
-        offsets = [self.h * z for z in z_dirs]
-        apply_offsets(self.params, offsets, sign=+1.0)
-        try:
+        with at_weights(self.params, self._shifted([self.h * z for z in z_dirs])):
             perturbed_loss, _ = self._forward_loss(x, y)
             perturbed_loss.backward()
             perturbed = self._collect_grads(detach=True)
-        finally:
-            apply_offsets(self.params, offsets, sign=-1.0)
 
         combined = [gp + self.gamma * gr for gp, gr in zip(perturbed, reg_grads)]
         self._set_grads(combined)
         return float(loss.data), logits
+
+    def _shifted(self, offsets):
+        """``W + offset`` per parameter, in the parameter's dtype."""
+        return [np.add(p.data, o).astype(p.data.dtype, copy=False) for p, o in zip(self.params, offsets)]
 
     def _hessian_penalty(self, perturbed_grads, clean_grads):
         """``G = sum_i penalty(dL/dW_i* - g_i)`` as a graph scalar."""
@@ -220,7 +214,3 @@ class HEROTrainer(Trainer):
                 term = (diff * diff).sum()
             total = term if total is None else total + term
         return total
-
-    @staticmethod
-    def _grad_data(grad):
-        return grad.data if isinstance(grad, Tensor) else np.asarray(grad)

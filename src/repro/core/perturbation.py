@@ -12,7 +12,13 @@ their weight distribution", Sec. 4.1).  The actual weight offset is
 (0.5 on CIFAR-10, 1.0 elsewhere in the paper).
 
 A global (non-adaptive) variant is included for the ablation bench.
+
+:func:`at_weights` is the one way to evaluate at shifted weights
+(HERO's ``W* = W + h z``, QAT's quantized pass, the ``||Hz||`` probe,
+finite-difference HVPs, the landscape plots); it restores them exactly.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,22 +70,24 @@ def global_perturbation(params, grads, h):
     return [scale * g for g in grads]
 
 
-def apply_offsets(params, offsets, sign=1.0):
-    """Add ``sign * offsets`` to parameter data, writing in place.
+@contextmanager
+def at_weights(params, arrays):
+    """Evaluate at shifted weights: ``param.data = array`` inside the block.
 
-    Writing into the existing buffers (rather than rebinding
-    ``param.data``) is bit-identical — ``w + (-o) == w - o`` exactly in
-    IEEE — and saves an allocation per parameter.
+    On exit, error or not, each parameter gets back its own array
+    object, so the weights are restored exactly, whatever the shift
+    was.  The caller computes the shifted arrays; BatchNorm buffers are
+    left to the caller too.
     """
-    if sign == 1.0:
-        for param, offset in zip(params, offsets):
-            np.add(param.data, offset, out=param.data)
-    elif sign == -1.0:
-        for param, offset in zip(params, offsets):
-            np.subtract(param.data, offset, out=param.data)
-    else:
-        for param, offset in zip(params, offsets):
-            np.add(param.data, sign * offset, out=param.data)
+    params = list(params)
+    originals = [param.data for param in params]
+    try:
+        for param, array in zip(params, arrays):
+            param.data = array
+        yield
+    finally:
+        for param, original in zip(params, originals):
+            param.data = original
 
 
 PERTURBATIONS = {

@@ -11,17 +11,18 @@ brittle elsewhere — the opposite robustness profile from HERO's.
 """
 
 from ..quant.quantizer import QuantScheme, quantize_array
+from .perturbation import at_weights
 from .trainer import Trainer
 
 
 class QATTrainer(Trainer):
     """Straight-through-estimator QAT at a fixed weight precision.
 
-    Per batch: quantize every conv/linear weight to ``bits`` in place,
-    run forward/backward (the quantization error is constant w.r.t.
+    Per batch: run forward/backward with every conv/linear weight
+    quantized to ``bits`` (the quantization error is constant w.r.t.
     the graph, so gradients are exactly the straight-through ones),
-    then restore the full-precision master weights and apply the
-    update to them.
+    inside :func:`~repro.core.perturbation.at_weights`, so the update
+    then applies to the full-precision master weights.
     """
 
     method_name = "qat"
@@ -54,16 +55,9 @@ class QATTrainer(Trainer):
         return targets
 
     def training_step(self, x, y):
-        masters = [w.data.copy() for w in self._targets]
-        try:
-            for weight in self._targets:
-                weight.data, _info = quantize_array(weight.data, self.scheme)
+        quantized = [quantize_array(w.data, self.scheme)[0] for w in self._targets]
+        with at_weights(self._targets, quantized):
             self._clear_grads()
             loss, logits = self._forward_loss(x, y)
             loss.backward()
-        finally:
-            # Straight-through: gradients computed at the quantized
-            # point are applied to the full-precision master weights.
-            for weight, master in zip(self._targets, masters):
-                weight.data = master
         return float(loss.data), logits

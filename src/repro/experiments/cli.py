@@ -277,13 +277,13 @@ def build_parser():
     )
     serving_group.add_argument(
         "--weight-bits",
-        type=int,
+        type=_bit_width,
         default=None,
         help="publish-artifact: uniform weight PTQ bit width (default: none)",
     )
     serving_group.add_argument(
         "--act-bits",
-        type=int,
+        type=_bit_width,
         default=None,
         help="publish-artifact: calibrated activation PTQ bit width "
         "(requires --weight-bits; default: none)",
@@ -336,12 +336,18 @@ def build_parser():
 def _positive_int(text):
     """argparse type of the dataset sizes, ``--max-batch`` and
     ``--max-tasks``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _bit_width(text):
+    """argparse type of ``--weight-bits`` and ``--act-bits``: an integer
+    in [2, 16], the widths :class:`~repro.quant.QuantScheme` accepts."""
+    value = _int(text)
+    if not 2 <= value <= 16:
+        raise argparse.ArgumentTypeError(f"must be in [2, 16], got {value}")
     return value
 
 
@@ -360,6 +366,13 @@ def _positive_float(text):
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number greater than 0, got {value}")
     return value
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _float(text):
@@ -398,8 +411,8 @@ def run_sweep_command(args, out=sys.stdout):
     """
     try:
         configs = sweep_configs_from_args(args)
-    except SchemaError as exc:
-        raise SystemExit(f"invalid sweep spec: {exc}") from None
+    except (SchemaError, KeyError) as exc:
+        raise SystemExit(f"invalid sweep spec: {exc.args[0]}") from None
     if args.workers is not None:
         workers = args.workers
     elif os.environ.get(WORKERS_ENV):
@@ -724,6 +737,11 @@ def run_datagen_command(args, out=sys.stdout):
     """
     from ..data import stream_dataset
 
+    profiles = _csv(args.datasets)
+    try:
+        specs = [resolve_spec(p, train_size=args.train_size, test_size=args.test_size) for p in profiles]
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
     cache_dir = dataset_cache_dir(default_cache_dir())
     if not cache_dir:
         print(
@@ -733,8 +751,7 @@ def run_datagen_command(args, out=sys.stdout):
         )
         return 1
     results = []
-    for profile in _csv(args.datasets):
-        spec = resolve_spec(profile, train_size=args.train_size, test_size=args.test_size)
+    for profile, spec in zip(profiles, specs):
         report = stream_dataset(spec, cache_dir, shard_size=args.shard_size)
         key, hit, seconds = report.key, report.hit, report.seconds
         splits = report.to_dict()["splits"]

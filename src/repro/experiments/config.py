@@ -36,6 +36,7 @@ from itertools import product
 
 from ..core import PERTURBATIONS, available_methods
 from ..core.hero import PENALTIES
+from ..data.pipeline import resolve_spec
 from ..messages import (
     FieldTypeError,
     UnknownFieldError,
@@ -196,12 +197,14 @@ def make_config(paper_model, dataset, method, profile="fast", seed=0, **override
     """Build a :class:`TrainConfig` from a paper-facing model name.
 
     Applies the profile's epochs/sizes, the model's fast-profile width
-    scale and the per-architecture method hyperparameters.
+    scale and the per-architecture method hyperparameters.  An unknown
+    model, dataset or profile name raises :class:`KeyError`.
     """
     if paper_model not in PAPER_MODELS:
         raise KeyError(f"unknown paper model {paper_model!r}; have {sorted(PAPER_MODELS)}")
     if profile not in PROFILES:
         raise KeyError(f"unknown profile {profile!r}; have {sorted(PROFILES)}")
+    resolve_spec(dataset)
     registry_name, scale, epoch_mult = PAPER_MODELS[paper_model]
     prof = PROFILES[profile]
     hypers = METHOD_HYPERS.get(registry_name, METHOD_HYPERS["resnet8"])

@@ -170,6 +170,8 @@ def build_trainer(config, model, callbacks=()):
         )
     elif config.method == "first_order":
         method_kwargs.update(h=config.h, perturbation=config.perturbation)
+    elif config.method == "cure":
+        method_kwargs.update(h=config.h, gamma=config.gamma, penalty=config.penalty)
     elif config.method == "grad_l1":
         method_kwargs.update(lambda_l1=config.lambda_l1)
     return make_trainer(

@@ -17,6 +17,7 @@ random perturbations of a given norm so the bound can be validated
 
 import numpy as np
 
+from ..core.perturbation import at_weights
 from ..tensor import Tensor, no_grad
 from .eigen import power_iteration
 from .hvp import batch_gradients, hvp_finite_diff, model_params, restore_buffers, snapshot_buffers
@@ -110,7 +111,6 @@ def empirical_loss_increase(model, loss_fn, x, y, radius, norm="l2", samples=8, 
     params = model_params(model)
     rng = np.random.default_rng(seed)
     buffers = snapshot_buffers(model)
-    originals = [p.data.copy() for p in params]
 
     def batch_loss():
         model.eval()
@@ -129,13 +129,8 @@ def empirical_loss_increase(model, loss_fn, x, y, radius, norm="l2", samples=8, 
                 offsets = [scale * d for d in direction]
             else:
                 offsets = [radius * np.sign(rng.standard_normal(p.shape)) for p in params]
-            for p, o in zip(params, offsets):
-                p.data = p.data + o
-            worst = max(worst, batch_loss() - base)
-            for p, orig in zip(params, originals):
-                p.data = orig.copy()
+            with at_weights(params, [p.data + o for p, o in zip(params, offsets)]):
+                worst = max(worst, batch_loss() - base)
     finally:
-        for p, orig in zip(params, originals):
-            p.data = orig
         restore_buffers(model, buffers)
     return worst

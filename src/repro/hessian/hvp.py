@@ -13,6 +13,7 @@ buffers snapshotted and restored so measurement has no side effects.
 
 import numpy as np
 
+from ..core.perturbation import at_weights
 from ..tensor import Tensor
 
 
@@ -136,14 +137,10 @@ def hvp_finite_diff(model, loss_fn, x, y, vectors, eps=1e-3):
     step = eps / norm
     buffers = snapshot_buffers(model)
     try:
-        for p, v in zip(params, vectors):
-            p.data = p.data + step * np.asarray(v)
-        _, grads_up = batch_gradients(model, loss_fn, x, y)
-        for p, v in zip(params, vectors):
-            p.data = p.data - 2.0 * step * np.asarray(v)
-        _, grads_down = batch_gradients(model, loss_fn, x, y)
-        for p, v in zip(params, vectors):
-            p.data = p.data + step * np.asarray(v)
+        with at_weights(params, [p.data + step * np.asarray(v) for p, v in zip(params, vectors)]):
+            _, grads_up = batch_gradients(model, loss_fn, x, y)
+        with at_weights(params, [p.data - step * np.asarray(v) for p, v in zip(params, vectors)]):
+            _, grads_down = batch_gradients(model, loss_fn, x, y)
     finally:
         restore_buffers(model, buffers)
     return [(gu - gd) / (2.0 * step) for gu, gd in zip(grads_up, grads_down)]

@@ -12,7 +12,7 @@ training epochs for HERO / GRAD-L1 / SGD.
 
 import numpy as np
 
-from ..core.perturbation import PERTURBATIONS
+from ..core.perturbation import PERTURBATIONS, at_weights
 from .hvp import batch_gradients, model_params, restore_buffers, snapshot_buffers
 
 
@@ -23,11 +23,8 @@ def hz_norm_on_batch(model, loss_fn, x, y, h=0.5, perturbation="layer_adaptive")
     try:
         _, clean = batch_gradients(model, loss_fn, x, y)
         offsets = PERTURBATIONS[perturbation](params, clean, h)
-        for p, dz in zip(params, offsets):
-            p.data = p.data + dz
-        _, shifted = batch_gradients(model, loss_fn, x, y)
-        for p, dz in zip(params, offsets):
-            p.data = p.data - dz
+        with at_weights(params, [p.data + dz for p, dz in zip(params, offsets)]):
+            _, shifted = batch_gradients(model, loss_fn, x, y)
     finally:
         restore_buffers(model, buffers)
     total = sum(float(np.sum((gs - gc) ** 2)) for gs, gc in zip(shifted, clean))

@@ -9,8 +9,9 @@ Fig. 3's per-optimum contours.
 
 import numpy as np
 
-from ..tensor import Tensor, no_grad
+from ..core.perturbation import at_weights
 from ..hessian.hvp import restore_buffers, snapshot_buffers
+from .surface import _loss_on_batches
 
 
 def interpolation_path(
@@ -40,27 +41,16 @@ def interpolation_path(
     if missing:
         raise ValueError(f"state dicts missing parameters: {missing}")
 
-    original = model.state_dict()
     buffers = snapshot_buffers(model)
     batches = list(batches)
     ts = np.linspace(start, stop, steps)
     losses = np.empty(steps)
     try:
-        model.eval()
         for index, t in enumerate(ts):
-            for name, param in params.items():
-                param.data = (1.0 - t) * np.asarray(state_a[name]) + t * np.asarray(
-                    state_b[name]
-                )
-            total, count = 0.0, 0
-            with no_grad():
-                for x, y in batches:
-                    loss = loss_fn(model(Tensor(x)), y)
-                    total += float(loss.data) * len(y)
-                    count += len(y)
-            losses[index] = total / max(count, 1)
+            point = [(1.0 - t) * np.asarray(state_a[name]) + t * np.asarray(state_b[name]) for name in params]
+            with at_weights(params.values(), point):
+                losses[index] = _loss_on_batches(model, loss_fn, batches)
     finally:
-        model.load_state_dict(original)
         restore_buffers(model, buffers)
         model.train()
     return {"ts": ts, "loss": losses}

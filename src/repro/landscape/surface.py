@@ -10,6 +10,7 @@ environment has no plotting stack.
 
 import numpy as np
 
+from ..core.perturbation import at_weights
 from ..tensor import Tensor, no_grad
 from ..hessian.hvp import restore_buffers, snapshot_buffers
 
@@ -56,8 +57,7 @@ def loss_surface(model, loss_fn, batches, d1, d2, radius=1.0, steps=(11, 11)):
     Returns a dict with ``alphas``, ``betas``, ``loss`` (2-D array) and
     ``center_loss``.
     """
-    params = [p for p in model.parameters()]
-    originals = [p.data.copy() for p in params]
+    params = list(model.parameters())
     buffers = snapshot_buffers(model)
     batches = list(batches)
     n_a, n_b = steps
@@ -67,12 +67,9 @@ def loss_surface(model, loss_fn, batches, d1, d2, radius=1.0, steps=(11, 11)):
     try:
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
-                for p, orig, v1, v2 in zip(params, originals, d1, d2):
-                    p.data = orig + a * v1 + b * v2
-                losses[i, j] = _loss_on_batches(model, loss_fn, batches)
+                with at_weights(params, [p.data + a * v1 + b * v2 for p, v1, v2 in zip(params, d1, d2)]):
+                    losses[i, j] = _loss_on_batches(model, loss_fn, batches)
     finally:
-        for p, orig in zip(params, originals):
-            p.data = orig
         restore_buffers(model, buffers)
     center = _loss_on_batches(model, loss_fn, batches)
     return {"alphas": alphas, "betas": betas, "loss": losses, "center_loss": center}

@@ -92,8 +92,9 @@ class TestClosedForms:
             return (w ** 4).sum()
 
         model = VectorModel(w0)
+        before = model.w.data.copy()
         run_one_step(model, loss_fn, h=0.1, gamma=0.3)
-        assert np.allclose(model.w.data, w0, atol=1e-12)
+        assert np.array_equal(model.w.data, before)
 
     def test_invalid_regularizer_name(self):
         model = VectorModel(np.ones(2))

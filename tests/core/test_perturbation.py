@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.perturbation import (
     PERTURBATIONS,
-    apply_offsets,
+    at_weights,
     global_perturbation,
     layer_adaptive_perturbation,
 )
@@ -68,15 +68,29 @@ class TestGlobal:
         assert not np.allclose(la[1], gl[1])
 
 
-class TestApplyOffsets:
+class TestAtWeights:
     def test_roundtrip(self):
-        params = make_params([(3, 3)])
-        before = params[0].data.copy()
-        offsets = [np.ones((3, 3))]
-        apply_offsets(params, offsets, sign=+1.0)
-        assert np.allclose(params[0].data, before + 1)
-        apply_offsets(params, offsets, sign=-1.0)
-        assert np.allclose(params[0].data, before)
+        params = make_params([(3, 3), (4,)])
+        originals = [p.data for p in params]
+        before = [p.data.copy() for p in params]
+        offsets = [np.full(p.shape, 0.7, dtype=p.data.dtype) for p in params]
+        # Shifting back by subtraction would not return W.
+        assert not all(np.array_equal((w + o) - o, w) for w, o in zip(before, offsets))
+        shifted = [w + o for w, o in zip(before, offsets)]
+        with at_weights(params, shifted):
+            assert all(p.data is s for p, s in zip(params, shifted))
+        assert all(p.data is w for p, w in zip(params, originals))
+        assert all(np.array_equal(p.data, w) for p, w in zip(params, before))
 
+    def test_restores_when_the_block_raises(self):
+        params = make_params([(3,)])
+        original = params[0].data
+        with pytest.raises(RuntimeError):
+            with at_weights(params, [original + 1.0]):
+                raise RuntimeError("evaluation failed")
+        assert params[0].data is original
+
+
+class TestRegistry:
     def test_registry(self):
         assert set(PERTURBATIONS) == {"layer_adaptive", "global"}

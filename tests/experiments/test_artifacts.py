@@ -5,6 +5,7 @@ paper-shape orderings themselves are exercised by the benchmark suite
 at the fast profile (see benchmarks/).
 """
 
+import numpy as np
 import pytest
 
 import repro.experiments as ex
@@ -143,6 +144,22 @@ class TestFig2:
         ex.run_fig2(profile="smoke", cache_dir=str(runs), max_batches=1, workers=1)
         assert not (default / "datasets").exists()
         assert os.listdir(runs / "datasets")
+
+    @pytest.mark.parametrize("method", ["sgd", "hero"])
+    def test_probe_does_not_change_training(self, method):
+        """Measuring ``||Hz||`` each epoch leaves the trained weights
+        exactly as a run without the probe trains them."""
+        from repro.experiments.fig2 import fig2_callbacks
+        from repro.experiments.runner import run_training
+
+        config = ex.make_config("ResNet20-fast", "cifar10_like", method, profile="smoke", seed=0)
+        plain = run_training(config, cache_dir=None).model.state_dict()
+        probed = run_training(
+            config, callbacks=fig2_callbacks(config, cache_dir=None), cache_dir=None
+        ).model.state_dict()
+        assert plain.keys() == probed.keys()
+        for name in plain:
+            assert np.array_equal(plain[name], probed[name]), name
 
 
 class TestFig3:

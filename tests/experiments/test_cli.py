@@ -99,6 +99,40 @@ class TestQueueAndFleetValues:
         assert build_parser().parse_args(["serve-model"]).lease_timeout is None
 
 
+class TestUnknownNames:
+    """An unknown ``--models``/``--datasets`` name exits 1 before any
+    queue, worker, run or dataset-cache entry exists."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sweep", "--models", "Nope"], "'Nope'"),
+            (["sweep", "--datasets", "nope_like", "--workers", "2"], "'nope_like'"),
+        ],
+        ids=["models", "datasets"],
+    )
+    def test_sweep_is_an_invalid_spec(self, argv, name, tmp_run_cache, monkeypatch):
+        from repro.experiments.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--profile", "smoke"])
+        message = exited.value.code
+        assert message.startswith("invalid sweep spec: ") and name in message
+        assert not os.path.exists(tmp_run_cache)
+
+    def test_datagen_writes_nothing(self, tmp_run_cache, monkeypatch):
+        from repro.experiments.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
+        monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
+        with pytest.raises(SystemExit) as exited:
+            main(["datagen", "--datasets", "cifar10_like,nope_like",
+                  "--train-size", "64", "--test-size", "16"])
+        assert "'nope_like'" in exited.value.code
+        assert not os.path.exists(tmp_run_cache)
+
+
 class TestDatagenCommand:
     def _args(self, extra=()):
         return build_parser().parse_args(

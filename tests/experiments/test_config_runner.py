@@ -121,6 +121,28 @@ class TestRunner:
         result = run_training(config, cache_dir=None)
         assert np.isclose(result.generalization_gap, result.train_acc - result.test_acc)
 
+    def test_cure_trainer_gets_the_config_hyperparameters(self):
+        from repro.experiments.runner import build_model, build_trainer
+
+        config = make_config(
+            "ResNet20-fast", "cifar10_like", "cure", profile="smoke",
+            gamma=0.5, h=0.3, penalty="sq_norm",
+        )
+        _train, _test, spec = load_experiment_data(config)
+        trainer = build_trainer(config, build_model(config, spec))
+        assert (trainer.h, trainer.gamma, trainer.penalty) == (0.3, 0.5, "sq_norm")
+
+    def test_cure_configs_train_different_weights(self):
+        strong, weak = (
+            make_config(
+                "ResNet20-fast", "cifar10_like", "cure", profile="smoke", gamma=gamma, h=h
+            )
+            for gamma, h in ((0.5, 0.3), (0.01, 0.001))
+        )
+        s1 = run_training(strong, cache_dir=None).model.state_dict()
+        s2 = run_training(weak, cache_dir=None).model.state_dict()
+        assert any(not np.array_equal(s1[key], s2[key]) for key in s1)
+
     def test_evaluate_accuracy_range(self):
         config = make_config("ResNet20-fast", "cifar10_like", "sgd", profile="smoke", epochs=1)
         result = run_training(config, cache_dir=None)

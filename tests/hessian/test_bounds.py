@@ -96,7 +96,7 @@ class TestOnModel:
         empirical_loss_increase(model, loss_fn, x, y, 0.5, samples=2)
         theorem3_bounds(model, loss_fn, x, y, c=0.1, power_iters=3)
         for n, p in model.named_parameters():
-            assert np.allclose(p.data, before[n])
+            assert np.array_equal(p.data, before[n])
 
     def test_invalid_norm(self):
         model, loss_fn, x, y = self._setup()

@@ -144,4 +144,4 @@ class TestHzNorm:
         before = {n: p.data.copy() for n, p in model.named_parameters()}
         hz_norm_on_batch(model, loss_fn, x, y, h=0.05)
         for n, p in model.named_parameters():
-            assert np.allclose(p.data, before[n])
+            assert np.array_equal(p.data, before[n])

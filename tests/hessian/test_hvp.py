@@ -87,7 +87,7 @@ class TestHVP:
         hvp_exact(model, loss_fn, x, y, vectors)
         hvp_finite_diff(model, loss_fn, x, y, vectors)
         for n, p in model.named_parameters():
-            assert np.allclose(p.data, before[n])
+            assert np.array_equal(p.data, before[n])
             assert p.grad is None
 
 

@@ -161,6 +161,19 @@ class TestServingValues:
         assert "must be at least" in capsys.readouterr().err
         assert not os.path.exists(tmp_run_cache)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--weight-bits", "1"], ["--weight-bits", "8", "--act-bits", "40"]],
+        ids=["weight-bits", "act-bits"],
+    )
+    def test_bit_width_exits_2_before_training(self, argv, tmp_run_cache, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
+        with pytest.raises(SystemExit) as exc:
+            main(["publish-artifact", "--profile", "smoke"] + argv)
+        assert exc.value.code == 2
+        assert "must be in [2, 16]" in capsys.readouterr().err
+        assert not os.path.exists(tmp_run_cache)
+
     def test_server_without_workers_raises(self, tmp_run_cache):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             InferenceServer("feedfacefeedface", cache_dir=tmp_run_cache, workers=0)
