@@ -8,25 +8,23 @@ untouched.
 
 import numpy as np
 
+from ..nn import eval_mode
 from ..tensor import Tensor, default_dtype, no_grad
 
 
 def input_gradient(model, loss_fn, x, y):
-    """Gradient of the batch loss w.r.t. the input ``x``."""
-    was_training = model.training
-    model.eval()
+    """Gradient of the batch loss w.r.t. the input ``x`` (in eval mode)."""
     for p in model.parameters():
         p.grad = None
     x_tensor = Tensor(np.asarray(x, dtype=default_dtype()), requires_grad=True)
-    loss = loss_fn(model(x_tensor), y)
-    loss.backward()
+    with eval_mode(model):
+        loss = loss_fn(model(x_tensor), y)
+        loss.backward()
     grad = (
         np.zeros_like(x_tensor.data) if x_tensor.grad is None else x_tensor.grad.data.copy()
     )
     for p in model.parameters():
         p.grad = None
-    if was_training:
-        model.train()
     return grad, float(loss.data)
 
 
@@ -68,8 +66,6 @@ def robust_accuracy(model, loss_fn, x, y, epsilon, attack="pgd", **attack_kwargs
     if attack not in attacks:
         raise KeyError(f"unknown attack {attack!r}; have {sorted(attacks)}")
     adversarial = attacks[attack](model, loss_fn, x, y, epsilon, **attack_kwargs)
-    model.eval()
-    with no_grad():
+    with eval_mode(model), no_grad():
         logits = model(Tensor(adversarial)).data
-    model.train()
     return float((logits.argmax(axis=1) == np.asarray(y)).mean())

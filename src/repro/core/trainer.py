@@ -10,6 +10,7 @@ paper's "same training procedure" protocol.
 
 import numpy as np
 
+from ..nn import eval_mode
 from ..tensor import Tensor, no_grad
 from .metrics import AverageMeter, History, correct_count
 
@@ -150,17 +151,15 @@ class Trainer:
 
     def evaluate(self, loader):
         """Mean loss and accuracy over ``loader`` in eval mode."""
-        self.model.eval()
         loss_meter = AverageMeter()
         acc_meter = AverageMeter()
-        with no_grad():
+        with eval_mode(self.model), no_grad():
             for x, y in loader:
                 logits = self.model(Tensor(x))
                 loss = self.loss_fn(logits, y)
                 batch = len(y)
                 loss_meter.update(float(loss.data), batch)
                 acc_meter.update(correct_count(logits, y) / batch, batch)
-        self.model.train()
         return loss_meter.average, acc_meter.average
 
     # ------------------------------------------------------------------

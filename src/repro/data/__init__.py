@@ -1,12 +1,7 @@
 """``repro.data`` — datasets, loaders, augmentation and label noise."""
 
 from .dataset import ArrayDataset, DataLoader
-from .synthetic import (
-    SyntheticSpec,
-    PROFILES,
-    generate_synthetic,
-    make_dataset,
-)
+from .synthetic import SyntheticSpec, PROFILES, make_dataset
 from .pipeline import (
     DEFAULT_SHARD_SIZE,
     dataset_cache_dir,
@@ -36,7 +31,6 @@ __all__ = [
     "DataLoader",
     "SyntheticSpec",
     "PROFILES",
-    "generate_synthetic",
     "make_dataset",
     "two_moons",
     "spirals",

@@ -61,22 +61,6 @@ class DataLoader:
         input batch (data augmentation).
     seed:
         Seeds both shuffling and the transform's rng stream.
-    window / max_resident_mb:
-        **Out-of-core mode** for memory-mapped datasets bigger than
-        RAM.  A global shuffle touches every page of the backing file
-        each epoch; with a ``window`` (samples) the epoch instead
-        visits contiguous windows in random order and shuffles *within*
-        each window, so the resident working set stays near one window
-        (~one cache shard when ``window`` equals the generation shard
-        size) while every sample is still seen exactly once per epoch.
-        ``max_resident_mb`` derives the window from a byte budget
-        instead.  With ``shuffle=False`` iteration is already
-        sequential — the out-of-core loader is then bit-identical to
-        the eager one, which is the tested parity contract.  At the end
-        of each epoch the mapped pages are dropped
-        (:func:`repro.data.streaming.evict`), returning the memory to
-        the OS.  Default (``None``): the classic global shuffle,
-        byte-for-byte the legacy RNG stream.
     """
 
     def __init__(
@@ -87,8 +71,6 @@ class DataLoader:
         transform=None,
         drop_last=False,
         seed=0,
-        window=None,
-        max_resident_mb=None,
     ):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -98,30 +80,6 @@ class DataLoader:
         self.transform = transform
         self.drop_last = drop_last
         self._rng = np.random.default_rng(seed)
-        self.window = self._resolve_window(window, max_resident_mb)
-
-    def _resolve_window(self, window, max_resident_mb):
-        """Samples per resident window, or ``None`` for the eager loader."""
-        if window is not None:
-            window = int(window)
-            if window <= 0:
-                raise ValueError(f"window must be positive, got {window}")
-            return window
-        if max_resident_mb is None:
-            return None
-        if max_resident_mb <= 0:
-            raise ValueError(f"max_resident_mb must be positive, got {max_resident_mb}")
-        inputs = getattr(self.dataset, "inputs", None)
-        if inputs is None:
-            raise ValueError(
-                "max_resident_mb needs a dataset exposing `.inputs` to size "
-                "the window; pass window= explicitly instead"
-            )
-        sample_bytes = max(
-            1, int(np.prod(inputs.shape[1:], dtype=np.int64)) * inputs.dtype.itemsize
-        )
-        budget = int(max_resident_mb * 2**20)
-        return max(self.batch_size, budget // sample_bytes)
 
     def __len__(self):
         n = len(self.dataset)
@@ -130,44 +88,22 @@ class DataLoader:
         return (n + self.batch_size - 1) // self.batch_size
 
     def epoch_order(self, n=None):
-        """The sample order the next epoch visits (consumes the rng).
-
-        Eager mode: one global shuffle (the legacy stream, unchanged).
-        Out-of-core mode: windows of ``self.window`` consecutive
-        samples are visited in shuffled order, each internally
-        shuffled — a permutation of ``range(n)`` whose working set is
-        window-local.
-        """
+        """The sample order the next epoch visits (consumes the rng):
+        one global shuffle, or ``range(n)`` without ``shuffle``."""
         n = len(self.dataset) if n is None else n
-        if not self.shuffle:
-            return np.arange(n)
-        if self.window is None or self.window >= n:
-            order = np.arange(n)
+        order = np.arange(n)
+        if self.shuffle:
             self._rng.shuffle(order)
-            return order
-        starts = np.arange(0, n, self.window)
-        self._rng.shuffle(starts)
-        pieces = []
-        for start in starts:
-            piece = np.arange(start, min(start + self.window, n))
-            self._rng.shuffle(piece)
-            pieces.append(piece)
-        return np.concatenate(pieces)
+        return order
 
     def __iter__(self):
         n = len(self.dataset)
         order = self.epoch_order(n)
-        try:
-            for start in range(0, n, self.batch_size):
-                index = order[start : start + self.batch_size]
-                if self.drop_last and len(index) < self.batch_size:
-                    return
-                x, y = self.dataset[index]
-                if self.transform is not None:
-                    x = self.transform(x, self._rng)
-                yield x, y
-        finally:
-            if self.window is not None:
-                from .streaming import evict
-
-                evict(getattr(self.dataset, "inputs", None))
+        for start in range(0, n, self.batch_size):
+            index = order[start : start + self.batch_size]
+            if self.drop_last and len(index) < self.batch_size:
+                return
+            x, y = self.dataset[index]
+            if self.transform is not None:
+                x = self.transform(x, self._rng)
+            yield x, y

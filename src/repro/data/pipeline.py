@@ -287,11 +287,11 @@ def _sample_images_fast(spec, table, labels, rng, out=None):
 def generate_dataset(spec, shard_size=None):
     """Generate ``(train_dataset, test_dataset)``, sharded when large.
 
-    Splits small enough for one shard use the legacy single-stream
-    generator (bit-identical to :func:`repro.data.synthetic.generate_synthetic`);
-    larger splits are drawn shard by shard from per-shard spawned
-    streams.  The output depends only on ``(spec, shard_size)`` and the
-    engine dtype.
+    Splits that fit one shard (both of them when ``shard_size`` is at
+    least both split sizes) use the legacy single-stream generator
+    (generator version 1, the seed code's stream); larger splits are
+    drawn shard by shard from per-shard spawned streams.  The output
+    depends only on ``(spec, shard_size)`` and the engine dtype.
     """
     shard_size = _resolve_shard_size(shard_size)
     prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))

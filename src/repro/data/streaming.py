@@ -29,8 +29,7 @@ The written bytes are **bit-identical to in-RAM generation**: a
 one-shard split is the legacy v1 stream written into its memmap, and
 multi-shard splits use the same per-shard generator streams, pinned by
 the generator golden hashes.  See ``docs/memory-model.md`` for the full
-memory model, including the read side (the out-of-core
-:class:`~repro.data.dataset.DataLoader` mode).
+memory model, including the read side.
 """
 
 import contextlib

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tensor import default_dtype
-from .dataset import ArrayDataset
 
 
 @dataclass(frozen=True)
@@ -233,48 +232,20 @@ def _generate_split(spec, prototypes, total, split_rng):
     return images, labels
 
 
-def generate_synthetic(spec):
-    """Generate ``(train_dataset, test_dataset)`` for a spec.
-
-    Train and test are sampled i.i.d. from the same class-conditional
-    distribution; the prototypes (the "true signal") are shared, the
-    noise draws are independent.
-    """
-    rng = np.random.default_rng(spec.seed)
-    prototypes = _class_prototypes(spec, rng)
-
-    def _split(total, split_rng):
-        images, labels = _generate_split(spec, prototypes, total, split_rng)
-        return ArrayDataset(images, labels)
-
-    train_rng = np.random.default_rng(spec.seed + 1)
-    test_rng = np.random.default_rng(spec.seed + 2)
-    return _split(spec.train_size, train_rng), _split(spec.test_size, test_rng)
-
-
-def make_dataset(
-    profile,
-    seed=None,
-    train_size=None,
-    test_size=None,
-    cache_dir=None,
-    shard_size=None,
-):
+def make_dataset(profile, seed=None, train_size=None, test_size=None, cache_dir=None):
     """Instantiate a named profile, optionally overriding its scale.
 
     Returns ``(train_dataset, test_dataset, spec)``.
 
     ``cache_dir`` (optional) names an on-disk dataset cache directory:
     a repeat call for the same spec + engine dtype memory-maps the
-    stored arrays instead of regenerating them.  ``shard_size`` tunes
-    the sharded generation path for large datasets (see
-    :mod:`repro.data.pipeline`); the default small-dataset stream is
-    identical to the seed generator.  Cold cache entries are streamed
-    to disk shard by shard (resumable and never whole-in-RAM; see
-    :mod:`repro.data.streaming`).
+    stored arrays instead of regenerating them, and a cold entry is
+    streamed to disk shard by shard (see :mod:`repro.data.streaming`).
+    Without it the arrays are generated in RAM
+    (:func:`repro.data.pipeline.generate_dataset`).
     """
     from .pipeline import load_or_generate, resolve_spec
 
     spec = resolve_spec(profile, seed=seed, train_size=train_size, test_size=test_size)
-    train, test = load_or_generate(spec, cache_dir=cache_dir, shard_size=shard_size)
+    train, test = load_or_generate(spec, cache_dir=cache_dir)
     return train, test, spec

@@ -35,7 +35,6 @@ from .runner import (
     build_model,
     build_trainer,
     default_cache_dir,
-    DEFAULT_CACHE_DIR,
 )
 from .sweep import (
     SweepReport,
@@ -101,7 +100,6 @@ __all__ = [
     "build_model",
     "build_trainer",
     "default_cache_dir",
-    "DEFAULT_CACHE_DIR",
     "RunRecord",
     "SweepReport",
     "run_sweep",

@@ -78,10 +78,12 @@ from . import (
     run_table3,
     save_json,
 )
+from ..core import available_methods
+from ..data import PROFILES as DATASET_PROFILES
 from ..data.pipeline import dataset_cache_dir, resolve_spec
 from ..messages import SchemaError
 from ..tensor import set_default_dtype
-from .config import TrainConfig, make_grid
+from .config import PAPER_MODELS, TrainConfig, make_grid
 from .runner import default_cache_dir
 from .sweep import (
     WORKERS_ENV,
@@ -261,17 +263,20 @@ def build_parser():
     )
     serving_group.add_argument(
         "--paper-model",
+        choices=sorted(PAPER_MODELS),
         default="ResNet20-fast",
         help="publish-artifact: paper model name to train/reuse "
         "(default: ResNet20-fast)",
     )
     serving_group.add_argument(
         "--dataset",
+        choices=sorted(DATASET_PROFILES),
         default="cifar10_like",
         help="publish-artifact: dataset profile (default: cifar10_like)",
     )
     serving_group.add_argument(
         "--method",
+        choices=available_methods(),
         default="hero",
         help="publish-artifact: training method (default: hero)",
     )

@@ -10,7 +10,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,10 +40,6 @@ def default_cache_dir():
     return os.path.join(root, ".cache", "runs")
 
 
-#: Import-time snapshot kept for backwards compatibility; prefer
-#: :func:`default_cache_dir`, which re-reads the environment.
-DEFAULT_CACHE_DIR = default_cache_dir()
-
 #: Sentinel distinguishing "use the default cache" from "no cache" (None).
 _DEFAULT_CACHE = object()
 
@@ -67,68 +62,33 @@ class RunResult:
         return self.train_acc - self.test_acc
 
 
-#: Size of the in-process synthetic-dataset memo (entries are a few MB
-#: each; a sweep worker typically cycles through 1-3 dataset profiles).
-_DATASET_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_DATASET_CACHE_SIZE)
-def _cached_make_dataset(profile, train_size, test_size, dtype, dataset_cache):
-    """Bounded per-process memo over synthetic dataset generation.
-
-    Keyed by ``(profile, sizes, engine dtype, dataset-cache dir)`` —
-    the dtype is part of the key because dataset arrays are produced in
-    the engine dtype, so a float64 run must not reuse a float32
-    worker's arrays (generation runs under ``dtype_context(dtype)`` so
-    key and arrays always agree).  ``dataset_cache`` (a directory or
-    ``None``) routes generation through the on-disk dataset cache: a
-    warm entry is memory-mapped, so concurrent sweep workers share one
-    copy of the arrays instead of regenerating them.  Generation is
-    deterministic per key, and callers treat the returned datasets as
-    read-only (label noise copies targets, augmentation copies
-    batches), so sharing one instance across runs is safe.
-    """
-    with dtype_context(dtype):
-        return make_dataset(
-            profile, train_size=train_size, test_size=test_size, cache_dir=dataset_cache
-        )
-
-
-def clear_dataset_cache():
-    """Drop the in-process synthetic-dataset memo (mainly for tests)."""
-    _cached_make_dataset.cache_clear()
-
-
 def load_experiment_data(config, cache_dir=_DEFAULT_CACHE):
     """Datasets for a config: ``(train, test, spec)``, label noise applied.
 
-    Repeated calls for the same ``(dataset, sizes, dtype)`` — e.g. the
-    many grid cells a sweep worker processes — reuse one memoized
-    generation instead of regenerating identical arrays.  The data is
-    produced in the config's resolved dtype (not the ambient policy),
-    so a driver evaluating a ``dtype='float64'`` run from a float32
-    process sees exactly the arrays the run trained on.  The
-    label-noise corruption stays outside the memo (it depends on the
-    run seed) and shares the memoized input arrays.
+    The data is produced in the config's resolved dtype (not the
+    ambient policy), so a driver evaluating a ``dtype='float64'`` run
+    from a float32 process sees exactly the arrays the run trained on.
+    Label noise (seeded by the run seed) corrupts a copy of the
+    targets; the inputs are shared.
 
     ``cache_dir`` is the run cache, as for :func:`run_training` (the
-    default run cache unless given): the arrays load from, or are
-    published into, its dataset cache
+    default run cache unless given): the arrays are memory-mapped from,
+    or streamed into, its dataset cache
     (:func:`~repro.data.pipeline.dataset_cache_dir`: ``REPRO_DATASET_CACHE``,
-    else ``<cache_dir>/datasets``), and ``None`` generates in RAM.  A
+    else ``<cache_dir>/datasets``), and ``None`` generates them in RAM.
+    Each call reopens the mapped entry (or regenerates in RAM); a
     driver passes the run cache its training used, so its analysis
-    phase shares one memo entry (and one on-disk entry) with the
-    training runs instead of regenerating.
+    phase reads the same on-disk entry as the training runs.
     """
     if cache_dir is _DEFAULT_CACHE:
         cache_dir = default_cache_dir()
-    train, test, spec = _cached_make_dataset(
-        config.dataset,
-        config.train_size,
-        config.test_size,
-        config.resolved_dtype(),
-        dataset_cache_dir(cache_dir),
-    )
+    with dtype_context(config.resolved_dtype()):
+        train, test, spec = make_dataset(
+            config.dataset,
+            train_size=config.train_size,
+            test_size=config.test_size,
+            cache_dir=dataset_cache_dir(cache_dir),
+        )
     if config.label_noise > 0:
         train, _mask = corrupt_dataset(
             train, config.label_noise, spec.num_classes, seed=config.seed + 17
@@ -186,16 +146,15 @@ def build_trainer(config, model, callbacks=()):
 
 
 def evaluate_accuracy(model, dataset, batch_size=160):
-    """Top-1 accuracy of ``model`` on ``dataset`` (eval mode)."""
-    model.eval()
+    """Top-1 accuracy of ``model`` on ``dataset`` (in eval mode; the
+    caller's mode is put back)."""
     correct = 0
-    with no_grad():
+    with nn.eval_mode(model), no_grad():
         for start in range(0, len(dataset), batch_size):
             idx = np.arange(start, min(start + batch_size, len(dataset)))
             x, y = dataset[idx]
             logits = model(Tensor(x)).data
             correct += int((logits.argmax(axis=1) == y).sum())
-    model.train()
     return correct / len(dataset)
 
 

@@ -18,6 +18,7 @@ random perturbations of a given norm so the bound can be validated
 import numpy as np
 
 from ..core.perturbation import at_weights
+from ..nn import eval_mode
 from ..tensor import Tensor, no_grad
 from .eigen import power_iteration
 from .hvp import batch_gradients, hvp_finite_diff, model_params, restore_buffers, snapshot_buffers
@@ -113,11 +114,8 @@ def empirical_loss_increase(model, loss_fn, x, y, radius, norm="l2", samples=8, 
     buffers = snapshot_buffers(model)
 
     def batch_loss():
-        model.eval()
-        with no_grad():
-            value = float(loss_fn(model(Tensor(x)), y).data)
-        model.train()
-        return value
+        with eval_mode(model), no_grad():
+            return float(loss_fn(model(Tensor(x)), y).data)
 
     base = batch_loss()
     worst = -np.inf

@@ -52,7 +52,6 @@ def interpolation_path(
                 losses[index] = _loss_on_batches(model, loss_fn, batches)
     finally:
         restore_buffers(model, buffers)
-        model.train()
     return {"ts": ts, "loss": losses}
 
 

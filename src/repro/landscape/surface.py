@@ -11,14 +11,16 @@ environment has no plotting stack.
 import numpy as np
 
 from ..core.perturbation import at_weights
-from ..tensor import Tensor, no_grad
 from ..hessian.hvp import restore_buffers, snapshot_buffers
+from ..nn import eval_mode
+from ..tensor import Tensor, no_grad
 
 
 def _loss_on_batches(model, loss_fn, batches):
-    model.eval()
+    """Sample-weighted mean loss over ``batches``, in eval mode (the
+    caller's mode is put back)."""
     total, weight = 0.0, 0
-    with no_grad():
+    with eval_mode(model), no_grad():
         for x, y in batches:
             loss = loss_fn(model(Tensor(x)), y)
             total += float(loss.data) * len(y)

@@ -6,7 +6,7 @@ conv and BatchNorm are one op each whose adjoints belong to a set of
 ops closed under differentiation.
 """
 
-from .module import Module, Parameter, Sequential, Identity
+from .module import Module, Parameter, Sequential, Identity, eval_mode
 from .linear import Linear, Flatten, linear
 from .conv import (
     Conv2d,
@@ -38,6 +38,7 @@ __all__ = [
     "Parameter",
     "Sequential",
     "Identity",
+    "eval_mode",
     "Linear",
     "Flatten",
     "linear",

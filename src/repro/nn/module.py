@@ -2,10 +2,12 @@
 
 Mirrors the familiar PyTorch contract: attribute assignment registers
 parameters, buffers and submodules; ``parameters()`` walks the tree;
-``train()``/``eval()`` toggle mode; ``state_dict`` round-trips weights.
+``train()``/``eval()`` toggle mode (:func:`eval_mode` for a block that
+puts the caller's mode back); ``state_dict`` round-trips weights.
 """
 
 from collections import OrderedDict
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -172,6 +174,19 @@ class Module:
     def __repr__(self):
         children = ", ".join(self._modules)
         return f"{type(self).__name__}({children})"
+
+
+@contextmanager
+def eval_mode(model):
+    """Run the block with ``model`` in eval mode, then put back every
+    submodule's own ``training`` flag, error or not."""
+    modes = [(module, module.training) for module in model.modules()]
+    model.eval()
+    try:
+        yield
+    finally:
+        for module, training in modes:
+            object.__setattr__(module, "training", training)
 
 
 class Sequential(Module):

@@ -13,7 +13,6 @@ from repro.data import (
     dataset_cache_dir,
     dataset_cache_key,
     generate_dataset,
-    generate_synthetic,
     load_or_generate,
     make_dataset,
     plan_shards,
@@ -27,6 +26,7 @@ from repro.data.synthetic import (
     _class_prototypes,
     _sample_images,
     _sample_images_loop,
+    _split_labels,
 )
 from repro.tensor import dtype_context
 
@@ -60,13 +60,17 @@ class TestVectorizedParity:
         assert np.array_equal(loop, fast)
 
     def test_single_shard_matches_legacy_generator(self):
-        """One-shard datasets keep the exact seed-generator stream (v1)."""
+        """One-shard datasets keep the exact seed-generator stream (v1):
+        the seed's per-image loop on the ``seed + 1``/``seed + 2`` split
+        streams, with prototypes drawn from ``seed``."""
         spec = small_spec()
-        legacy_train, legacy_test = generate_synthetic(spec)
+        prototypes = _class_prototypes(spec, np.random.default_rng(spec.seed))
         train, test = generate_dataset(spec)  # 600 < shard size -> v1
-        assert np.array_equal(legacy_train.inputs, train.inputs)
-        assert np.array_equal(legacy_train.targets, train.targets)
-        assert np.array_equal(legacy_test.inputs, test.inputs)
+        for split, offset in ((train, 1), (test, 2)):
+            rng = np.random.default_rng(spec.seed + offset)
+            labels = _split_labels(spec, len(split), rng)
+            assert np.array_equal(split.targets, labels)
+            assert np.array_equal(split.inputs, _sample_images_loop(spec, prototypes, labels, rng))
 
 
 class TestShardedGeneration:
@@ -84,7 +88,7 @@ class TestShardedGeneration:
     def test_sharded_labels_match_legacy(self):
         """Sharding changes the image streams, never the label split."""
         spec = small_spec()
-        legacy_train, _ = generate_synthetic(spec)
+        legacy_train, _ = generate_dataset(spec)  # one shard: v1
         train, _ = generate_dataset(spec, shard_size=256)
         assert np.array_equal(legacy_train.targets, train.targets)
 

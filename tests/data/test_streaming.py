@@ -1,4 +1,4 @@
-"""Streaming shard writer + out-of-core loader: parity, resume, residency."""
+"""Streaming shard writer + loading mapped entries: parity, resume, residency."""
 
 import hashlib
 import io
@@ -107,14 +107,10 @@ class TestStreamedParity:
 
     def test_make_dataset_threads_stream(self, tmp_path):
         train, _test, spec = make_dataset(
-            "cifar10_like",
-            train_size=600,
-            test_size=64,
-            cache_dir=str(tmp_path),
-            shard_size=256,
+            "cifar10_like", train_size=600, test_size=64, cache_dir=str(tmp_path)
         )
-        assert dataset_cache(str(tmp_path)).complete(dataset_cache_key(spec, shard_size=256))
-        assert np.array_equal(train.inputs, generate_dataset(spec, shard_size=256)[0].inputs)
+        assert dataset_cache(str(tmp_path)).complete(dataset_cache_key(spec))
+        assert np.array_equal(train.inputs, generate_dataset(spec)[0].inputs)
 
 
 class TestResume:
@@ -217,44 +213,20 @@ class TestShardJournal:
 
 
 class TestOutOfCoreLoader:
+    """Training reads a memory-mapped entry through the plain loader."""
+
     def test_sequential_batches_match_eager_loader_bitwise(self, tmp_path):
         spec = small_spec()
         stream_dataset(spec, str(tmp_path), shard_size=256)
         mapped, _ = load_or_generate(spec, cache_dir=str(tmp_path), shard_size=256)
         eager, _ = generate_dataset(spec, shard_size=256)
-        ooc = DataLoader(mapped, batch_size=50, shuffle=False, window=120)
+        from_disk = DataLoader(mapped, batch_size=50, shuffle=False)
         ref = DataLoader(eager, batch_size=50, shuffle=False)
-        batches = list(zip(ref, ooc, strict=True))
+        batches = list(zip(ref, from_disk, strict=True))
         assert len(batches) == 12
         for (rx, ry), (ox, oy) in batches:
             assert np.array_equal(rx, ox)
             assert np.array_equal(ry, oy)
-
-    def test_windowed_epoch_is_a_window_local_permutation(self):
-        eager, _ = generate_dataset(small_spec(), shard_size=256)
-        loader = DataLoader(eager, batch_size=32, shuffle=True, window=150, seed=3)
-        order = loader.epoch_order()
-        assert np.array_equal(np.sort(order), np.arange(600))
-        # windows are visited contiguously: the window-id sequence has
-        # exactly one run per window, so residency stays window-local
-        blocks = order // 150
-        runs = 1 + int(np.sum(blocks[1:] != blocks[:-1]))
-        assert runs == 4
-        # and it is genuinely shuffled, not sequential
-        assert not np.array_equal(order, np.arange(600))
-
-    def test_windowed_epoch_yields_every_sample_once(self):
-        eager, _ = generate_dataset(small_spec(), shard_size=256)
-        loader = DataLoader(eager, batch_size=32, shuffle=True, window=150, seed=3)
-        targets = np.concatenate([y for _x, y in loader])
-        assert np.array_equal(np.sort(targets), np.sort(np.asarray(eager.targets)))
-
-    def test_max_resident_mb_derives_window(self):
-        eager, _ = generate_dataset(small_spec(), shard_size=256)
-        loader = DataLoader(eager, batch_size=32, shuffle=True, max_resident_mb=0.15)
-        assert loader.window == int(0.15 * 2**20) // (3 * 8 * 8 * 4)
-        floor = DataLoader(eager, batch_size=32, shuffle=True, max_resident_mb=1e-6)
-        assert floor.window == 32  # never below one batch
 
     def test_default_loader_stream_is_unchanged(self):
         eager, _ = generate_dataset(small_spec(), shard_size=256)
@@ -262,15 +234,6 @@ class TestOutOfCoreLoader:
         np.random.default_rng(7).shuffle(legacy)
         loader = DataLoader(eager, batch_size=32, shuffle=True, seed=7)
         assert np.array_equal(loader.epoch_order(), legacy)
-
-    def test_window_validation(self):
-        eager, _ = generate_dataset(small_spec(), shard_size=256)
-        with pytest.raises(ValueError):
-            DataLoader(eager, window=0)
-        with pytest.raises(ValueError):
-            DataLoader(eager, max_resident_mb=0)
-        with pytest.raises(ValueError):
-            DataLoader(eager, max_resident_mb=-64)
 
 
 class TestEvict:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import PROFILES, generate_synthetic, make_dataset
+from repro.data import PROFILES, generate_dataset, make_dataset
 from repro.data.synthetic import SyntheticSpec, _class_prototypes
 
 
@@ -67,7 +67,7 @@ class TestGeneration:
             name="t", num_classes=5, image_size=8, train_size=100, test_size=50,
             noise=0.5, interference=0.3,
         )
-        train, _ = generate_synthetic(spec)
+        train, _ = generate_dataset(spec)
         protos = _class_prototypes(spec, np.random.default_rng(spec.seed))
         flat_p = protos.reshape(spec.num_classes, -1)
         flat_x = train.inputs.reshape(len(train), -1)

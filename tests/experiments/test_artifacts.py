@@ -64,12 +64,9 @@ class TestTable3:
         given, not from a second entry in the default run cache."""
         import os
 
-        from repro.experiments.runner import clear_dataset_cache
-
         default = tmp_path / "default"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
         monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
-        clear_dataset_cache()  # the in-process memo would hide the write
         ex.run_table3(profile="smoke", cache_dir=cache_dir, model="ResNet20-fast", workers=1)
         assert not (default / "datasets").exists()
         assert os.listdir(os.path.join(cache_dir, "datasets"))
@@ -134,13 +131,10 @@ class TestFig2:
         run cache."""
         import os
 
-        from repro.experiments.runner import clear_dataset_cache
-
         default = tmp_path / "default"
         runs = tmp_path / "runs"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
         monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
-        clear_dataset_cache()  # the in-process memo would hide the write
         ex.run_fig2(profile="smoke", cache_dir=str(runs), max_batches=1, workers=1)
         assert not (default / "datasets").exists()
         assert os.listdir(runs / "datasets")

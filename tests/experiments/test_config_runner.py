@@ -106,12 +106,9 @@ class TestRunner:
 
     def test_uncached_run_generates_in_ram(self, tmp_path, monkeypatch):
         """``cache_dir=None`` writes no dataset into the default run cache."""
-        from repro.experiments.runner import clear_dataset_cache
-
         default = tmp_path / "default"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
         monkeypatch.delenv("REPRO_DATASET_CACHE", raising=False)
-        clear_dataset_cache()  # the in-process memo would hide the write
         config = make_config("ResNet20-fast", "cifar10_like", "sgd", profile="smoke", epochs=1)
         run_training(config, cache_dir=None)
         assert not (default / "datasets").exists()

@@ -1,10 +1,9 @@
-"""Precision policy at the experiments layer: cache keys, runner, memo."""
+"""Precision policy at the experiments layer: cache keys, runner, dataset loads."""
 
 import numpy as np
 import pytest
 
 from repro.experiments import TrainConfig, load_experiment_data, run_training
-from repro.experiments.runner import clear_dataset_cache
 from repro.experiments.sweep import run_sweep
 from repro.tensor import dtype_context, dtype_name, set_default_dtype
 
@@ -12,10 +11,8 @@ from repro.tensor import dtype_context, dtype_name, set_default_dtype
 @pytest.fixture(autouse=True)
 def _float32_policy():
     previous = set_default_dtype("float32")
-    clear_dataset_cache()
     yield
     set_default_dtype(previous)
-    clear_dataset_cache()
 
 
 def smoke_config(**overrides):
@@ -80,47 +77,34 @@ class TestRunnerDtype:
 
 
 class TestDatasetMemo:
-    def test_repeat_loads_share_one_generation(self):
-        c = smoke_config()
-        train1, test1, _ = load_experiment_data(c)
-        train2, test2, _ = load_experiment_data(c)
-        assert train1 is train2 and test1 is test2
+    """Every ``load_experiment_data`` call loads afresh from the dataset
+    cache: the arrays follow the config's dtype, and label noise
+    changes only the targets."""
 
-    def test_memo_is_dtype_keyed(self):
+    def test_memo_is_dtype_keyed(self, tmp_run_cache):
         c = smoke_config()
-        train32, _, _ = load_experiment_data(c)
+        train32, _, _ = load_experiment_data(c, tmp_run_cache)
         with dtype_context("float64"):
-            train64, _, _ = load_experiment_data(c)
-        assert train32 is not train64
+            train64, _, _ = load_experiment_data(c, tmp_run_cache)
         assert train32.inputs.dtype == np.float32
         assert train64.inputs.dtype == np.float64
 
-    def test_explicit_config_dtype_wins_over_ambient_policy(self):
+    def test_explicit_config_dtype_wins_over_ambient_policy(self, tmp_run_cache):
         # Regression: a driver evaluating a dtype='float64' run from a
         # float32 process must get the same arrays the run trained on.
-        train64, test64, _ = load_experiment_data(smoke_config(dtype="float64"))
+        train64, test64, _ = load_experiment_data(smoke_config(dtype="float64"), tmp_run_cache)
         assert train64.inputs.dtype == np.float64
         assert test64.inputs.dtype == np.float64
-        # ...and it shares the memo entry with an in-context load.
+        # ...the same arrays an in-context load gets.
         with dtype_context("float64"):
-            train_ctx, _, _ = load_experiment_data(smoke_config())
-        assert train_ctx is train64
+            train_ctx, _, _ = load_experiment_data(smoke_config(), tmp_run_cache)
+        assert np.array_equal(train_ctx.inputs, train64.inputs)
 
-    def test_label_noise_stays_outside_memo(self):
-        clean = smoke_config()
-        noisy = smoke_config(label_noise=0.5)
-        train_clean, _, _ = load_experiment_data(clean)
-        train_noisy, _, _ = load_experiment_data(noisy)
-        assert train_noisy is not train_clean
-        assert train_noisy.inputs is train_clean.inputs  # inputs shared
+    def test_label_noise_stays_outside_memo(self, tmp_run_cache):
+        train_clean, _, _ = load_experiment_data(smoke_config(), tmp_run_cache)
+        train_noisy, _, _ = load_experiment_data(smoke_config(label_noise=0.5), tmp_run_cache)
+        assert np.array_equal(train_noisy.inputs, train_clean.inputs)
         assert not np.array_equal(train_noisy.targets, train_clean.targets)
-
-    def test_clear_dataset_cache(self):
-        c = smoke_config()
-        before, _, _ = load_experiment_data(c)
-        clear_dataset_cache()
-        after, _, _ = load_experiment_data(c)
-        assert before is not after
 
 
 class TestSweepDtype:

@@ -174,6 +174,21 @@ class TestServingValues:
         assert "must be in [2, 16]" in capsys.readouterr().err
         assert not os.path.exists(tmp_run_cache)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--paper-model", "Nope"], ["--dataset", "nope_like"], ["--method", "heroo"]],
+        ids=["paper-model", "dataset", "method"],
+    )
+    def test_unknown_name_exits_2_before_training(
+        self, argv, tmp_run_cache, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", tmp_run_cache)
+        with pytest.raises(SystemExit) as exc:
+            main(["publish-artifact", "--profile", "smoke"] + argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[1]}'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_run_cache)
+
     def test_server_without_workers_raises(self, tmp_run_cache):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             InferenceServer("feedfacefeedface", cache_dir=tmp_run_cache, workers=0)

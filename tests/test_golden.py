@@ -3,10 +3,11 @@
 Two artifacts live on disk across process (and machine) boundaries
 and therefore must never drift silently:
 
-* the **dataset-generator v2 stream** — cached dataset entries are
-  keyed by generator version, so changing the stream without bumping
+* the **dataset-generator streams** — cached dataset entries are
+  keyed by generator version, so changing a stream without bumping
   ``repro.data.pipeline.GENERATOR_VERSION`` would serve wrong arrays
-  to every warm cache;
+  to every warm cache.  The v1 stream (a split that fits one shard)
+  is also what every paper artifact trains on;
 * the **sweep-queue journal entry schema** — workers on different
   machines (possibly running different checkouts) coordinate through
   these JSON records, so changing the shape without bumping
@@ -28,10 +29,30 @@ from repro.data.synthetic import PROFILES
 from repro.experiments import RunRecord, TrainConfig
 from repro.experiments.reporting import record_to_dict
 from repro.experiments.scheduler import ENTRY_FIELDS, JOURNAL_VERSION, new_entry
+from repro.tensor import dtype_context
 
 
 def canonical_sha256(payload):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestDatasetGeneratorV1:
+    def test_golden_hashes_pin_v1_stream(self):
+        """The single-shard stream every paper dataset is drawn from.
+
+        If these hashes move, bump the generator version in
+        ``repro.data.pipeline`` — cached entries would otherwise be
+        silently wrong, and every trained number would move with them.
+        """
+        with dtype_context("float32"):
+            train, _ = generate_dataset(PROFILES["cifar10_like"])
+        digest = hashlib.sha256(np.ascontiguousarray(train.inputs).tobytes()).hexdigest()
+        assert train.inputs.dtype == np.float32
+        assert digest == "cb78afc40b6e789bed656f536dc832d2c88551d822778657cfeeafd6467cb905"
+        labels_digest = hashlib.sha256(train.targets.tobytes()).hexdigest()
+        assert labels_digest == (
+            "40596cb43fd7050dc6a2d797e7c90d011e0746a19a636b8867ab9ede6f25ea48"
+        )
 
 
 class TestDatasetGeneratorV2:
