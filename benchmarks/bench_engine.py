@@ -7,9 +7,11 @@ dataset-generation pipeline that feeds them (see
 ``benchmarks/bench_datagen.py`` for the full datagen axis).
 
 Besides the pytest-benchmark timings, a standalone smoke mode records a
-tracemalloc allocation profile per engine pass (transient peak bytes and
-net live blocks) — the machine-independent axis CI archives alongside
-wall-clock::
+tracemalloc allocation profile per engine pass (transient peak bytes,
+net live blocks, and the bytes the warm-up call left allocated, i.e.
+what the engine keeps between steps) for resnet8 and for the
+sweep-smoke MobileNetV2 — the machine-independent axis CI archives
+alongside wall-clock::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --json results/engine_alloc.json
 """
@@ -36,7 +38,7 @@ def conv_setup():
     x = rng.standard_normal((32, 3, 8, 8))
     y = rng.integers(0, 10, 32)
     loss_fn = nn.CrossEntropyLoss()
-    # Warm the im2col index cache.
+    # Warm the conv row-index cache.
     loss_fn(model(Tensor(x)), y)
     return model, loss_fn, x, y
 
@@ -123,12 +125,17 @@ def test_datagen_sharded(benchmark):
 # ----------------------------------------------------------------------
 # Allocation profile (standalone smoke mode — no pytest-benchmark)
 # ----------------------------------------------------------------------
-def _engine_passes():
+#: (model, scale, batch) of each profiled model: resnet8, and
+#: MobileNetV2-fast at the smoke profile (0.35 x 0.5), as sweep-smoke trains it.
+ENGINE_MODELS = (("resnet8", 1.0, 32), ("mobilenetv2", 0.175, 64))
+
+
+def _engine_passes(model_name, scale, batch):
     """Named closures over one model: the three engine pass shapes."""
     rng = np.random.default_rng(0)
-    model = create_model("resnet8", num_classes=10, scale=1.0, seed=0)
-    x = rng.standard_normal((32, 3, 8, 8)).astype(np.float32)
-    y = rng.integers(0, 10, 32)
+    model = create_model(model_name, num_classes=10, scale=scale, seed=0)
+    x = rng.standard_normal((batch, 3, 8, 8)).astype(np.float32)
+    y = rng.integers(0, 10, batch)
     loss_fn = nn.CrossEntropyLoss()
     params = list(model.parameters())
 
@@ -162,10 +169,13 @@ def _engine_passes():
 
 
 def _alloc_profile(fn):
-    """(peak_bytes, net_blocks) of one warmed call to ``fn``."""
+    """(peak_bytes, net_blocks) of one warmed call to ``fn``, and the
+    bytes the warm-up call left allocated (index caches, gradients)."""
     tracemalloc.start()
     try:
+        start, _ = tracemalloc.get_traced_memory()
         fn()  # warm-up: index caches
+        warm, _ = tracemalloc.get_traced_memory()
         before = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
         current0, _ = tracemalloc.get_traced_memory()
@@ -175,20 +185,32 @@ def _alloc_profile(fn):
         net_blocks = sum(
             stat.count_diff for stat in after.compare_to(before, "filename")
         )
-        return int(peak - current0), int(net_blocks)
+        return int(peak - current0), int(net_blocks), int(warm - start)
     finally:
         tracemalloc.stop()
 
 
 def run_alloc_smoke():
-    """Allocation profile of each engine pass."""
+    """Allocation profile of each engine pass of each profiled model."""
     results = {"runs": []}
-    for name, fn in _engine_passes():
-        peak, net_blocks = _alloc_profile(fn)
-        results["runs"].append(
-            {"pass": name, "alloc_peak_bytes": peak, "alloc_net_blocks": net_blocks}
-        )
-        print(f"{name:>20}: peak {peak / 1e6:7.1f} MB, net {net_blocks:+d} blocks")
+    for model_name, scale, batch in ENGINE_MODELS:
+        for name, fn in _engine_passes(model_name, scale, batch):
+            peak, net_blocks, retained = _alloc_profile(fn)
+            results["runs"].append(
+                {
+                    "model": model_name,
+                    "scale": scale,
+                    "batch": batch,
+                    "pass": name,
+                    "alloc_peak_bytes": peak,
+                    "alloc_net_blocks": net_blocks,
+                    "retained_bytes": retained,
+                }
+            )
+            print(
+                f"{model_name:>12} {name:>17}: peak {peak / 1e6:7.1f} MB, "
+                f"net {net_blocks:+d} blocks, retained {retained / 1e6:6.2f} MB"
+            )
     return results
 
 

@@ -69,7 +69,12 @@ def loss_surface(model, loss_fn, batches, d1, d2, radius=1.0, steps=(11, 11)):
     try:
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
-                with at_weights(params, [p.data + a * v1 + b * v2 for p, v1, v2 in zip(params, d1, d2)]):
+                # In each parameter's dtype, so (0, 0) is the model itself.
+                point = [
+                    (p.data + a * v1 + b * v2).astype(p.data.dtype, copy=False)
+                    for p, v1, v2 in zip(params, d1, d2)
+                ]
+                with at_weights(params, point):
                     losses[i, j] = _loss_on_batches(model, loss_fn, batches)
     finally:
         restore_buffers(model, buffers)

@@ -8,14 +8,7 @@ ops closed under differentiation.
 
 from .module import Module, Parameter, Sequential, Identity, eval_mode
 from .linear import Linear, Flatten, linear
-from .conv import (
-    Conv2d,
-    conv2d,
-    conv_output_size,
-    im2col_cache_clear,
-    im2col_cache_info,
-    im2col_indices,
-)
+from .conv import Conv2d, conv2d, conv_output_size
 from .pooling import (
     MaxPool2d,
     AvgPool2d,
@@ -45,9 +38,6 @@ __all__ = [
     "Conv2d",
     "conv2d",
     "conv_output_size",
-    "im2col_cache_clear",
-    "im2col_cache_info",
-    "im2col_indices",
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",

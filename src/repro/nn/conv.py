@@ -18,13 +18,21 @@ through convolutions exactly.  The columns of an input are gathered
 once and kept on the op instance that gathered them, and handed to
 every op that contracts with that input, at first and second order.
 
+The ops work batch-minor.  An input's zero-padded pixels are the rows
+``(C*Hp*Wp, N)``, and its columns ``(G, C/G*KH*KW, OH*OW*N)`` are one
+gather of whole rows through a per-sample row index, cached once per
+geometry whatever the batch size.  The forward is ``W @ cols``, the
+weight gradient ``g @ colsᵀ`` and the input gradient ``Wᵀ @ g``, added
+back onto the rows one kernel offset at a time.  Outputs are NCHW views
+that stay batch-minor in memory, so the next layer's rows are a plain
+copy.
+
 Grouped convolution (including depthwise, ``groups == in_channels``,
 as used by MobileNetV2) maps onto a single 3-D batched matmul over the
 group axis — no Python-level loop over groups.
 """
 
-import threading
-from collections import OrderedDict
+import functools
 
 import numpy as np
 
@@ -32,37 +40,6 @@ from ..tensor import Tensor, default_dtype
 from ..tensor.function import Function, call
 from . import init
 from .module import Module, Parameter
-
-# Bounded LRU for im2col gather indices.  Index construction is pure
-# integer arithmetic but costs ~ O(N * OHW * C * KK) per call — several
-# milliseconds for a CIFAR-sized batch — so a training loop that
-# recomputed it every step would spend more time building indices than
-# convolving.  The bound keeps pathological shape churn (e.g. sweeping
-# image sizes in an eval harness) from growing the cache without limit;
-# steady-state training uses a handful of entries and never evicts.
-# The lock makes a lookup and its LRU bookkeeping one step: a served
-# model's worker threads share the cache, and one thread's eviction
-# must not land between another's hit and its ``move_to_end``.
-_INDEX_CACHE_MAX = 64
-_INDEX_CACHE = OrderedDict()
-_INDEX_CACHE_LOCK = threading.Lock()
-_INDEX_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def im2col_cache_info():
-    """Snapshot of the index-cache counters (hits/misses/evictions/size)."""
-    info = dict(_INDEX_CACHE_STATS)
-    info["size"] = len(_INDEX_CACHE)
-    info["maxsize"] = _INDEX_CACHE_MAX
-    return info
-
-
-def im2col_cache_clear():
-    """Drop all cached index arrays and reset the counters."""
-    with _INDEX_CACHE_LOCK:
-        _INDEX_CACHE.clear()
-        for key in _INDEX_CACHE_STATS:
-            _INDEX_CACHE_STATS[key] = 0
 
 
 def _pair(value):
@@ -80,96 +57,72 @@ def conv_output_size(size, kernel, stride, padding, dilation=1):
     return (size + 2 * padding - effective) // stride + 1
 
 
-def im2col_indices(in_shape, kernel, stride, dilation):
-    """Flat gather indices turning a padded NCHW tensor into patches.
+@functools.lru_cache(maxsize=128)
+def _row_index(channels, height, width, kernel, stride, dilation):
+    """The rows of a padded ``(C*H*W, N)`` input that make its columns.
 
-    Returns an int array of shape ``(N, OH*OW, C, KH*KW)`` whose entries
-    index into the *flattened padded* input; gathering with it yields,
-    for every output location, the receptive-field window of every
-    channel.  Results are memoized in a bounded LRU — models reuse the
-    same shapes every step, so steady-state training recomputes nothing
-    (see :func:`im2col_cache_info`).
+    Entry ``(c, kh, kw, oh, ow)`` of the flat result is the row of pixel
+    ``(c, oh*sh + kh*dh, ow*sw + kw*dw)``.  It describes one sample, so
+    a geometry has one entry whatever the batch size.
     """
-    key = (in_shape, kernel, stride, dilation)
-    with _INDEX_CACHE_LOCK:
-        cached = _INDEX_CACHE.get(key)
-        if cached is not None:
-            _INDEX_CACHE_STATS["hits"] += 1
-            _INDEX_CACHE.move_to_end(key)
-            return cached
-        _INDEX_CACHE_STATS["misses"] += 1
-
-    n, c, hp, wp = in_shape
-    kh, kw = kernel
-    sh, sw = stride
-    dh, dw = dilation
-    oh = conv_output_size(hp, kh, sh, 0, dh)
-    ow = conv_output_size(wp, kw, sw, 0, dw)
+    (kh, kw), (sh, sw), (dh, dw) = kernel, stride, dilation
+    oh = conv_output_size(height, kh, sh, 0, dh)
+    ow = conv_output_size(width, kw, sw, 0, dw)
     if oh <= 0 or ow <= 0:
         raise ValueError(
-            f"kernel {kernel} with stride {stride} does not fit input {in_shape}"
+            f"kernel {kernel} with stride {stride} does not fit input "
+            f"{(channels, height, width)}"
         )
-
-    out_rows = np.arange(oh * ow) // ow  # (OHW,)
-    out_cols = np.arange(oh * ow) % ow
-    ker_rows = np.arange(kh * kw) // kw  # (KK,)
-    ker_cols = np.arange(kh * kw) % kw
-    rows = out_rows[:, None] * sh + ker_rows[None, :] * dh  # (OHW, KK)
-    cols = out_cols[:, None] * sw + ker_cols[None, :] * dw
-
-    n_idx = np.arange(n)[:, None, None, None]
-    c_idx = np.arange(c)[None, None, :, None]
-    flat = ((n_idx * c + c_idx) * hp + rows[None, :, None, :]) * wp
-    flat = flat + cols[None, :, None, :]
-    result = (flat.astype(np.int64), oh, ow)
-    with _INDEX_CACHE_LOCK:
-        _INDEX_CACHE[key] = result
-        if len(_INDEX_CACHE) > _INDEX_CACHE_MAX:
-            _INDEX_CACHE.popitem(last=False)
-            _INDEX_CACHE_STATS["evictions"] += 1
-    return result
+    rows = np.arange(kh)[:, None] * dh + np.arange(oh) * sh  # (KH, OH)
+    cols = np.arange(kw)[:, None] * dw + np.arange(ow) * sw  # (KW, OW)
+    pixels = rows[:, None, :, None] * width + cols[None, :, None, :]
+    index = np.arange(channels)[:, None, None, None, None] * (height * width) + pixels
+    index = index.reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def _columns(x, geometry):
-    """im2col: the ``(G, N*OH*OW, C/G*KH*KW)`` columns of the array ``x``."""
+    """im2col: the ``(G, C/G*KH*KW, OH*OW*N)`` columns of the array ``x``.
+
+    ``x`` is laid out batch-minor, as the rows ``(C*Hp*Wp, N)`` of its
+    zero-padded pixels, so its columns are one gather of whole rows.
+    """
     kernel, stride, padding, dilation, groups = geometry
-    if padding != (0, 0):
-        n, c, h, w = x.shape
-        ph, pw = padding
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        padded[:, :, ph : ph + h, pw : pw + w] = x
-        x = padded
-    indices = im2col_indices(x.shape, kernel, stride, dilation)[0]
-    patches = x.reshape(-1)[indices]  # (N, OHW, C, KK)
-    n, ohw, c, kk = patches.shape
-    return (
-        patches.reshape(n, ohw, groups, c // groups * kk)
-        .transpose((2, 0, 1, 3))
-        .reshape(groups, n * ohw, c // groups * kk)
-    )
+    n, c, h, w = x.shape
+    (kh, kw), (ph, pw) = kernel, padding
+    rows = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+    rows[:, ph : ph + h, pw : pw + w] = x.transpose((1, 2, 3, 0))
+    index = _row_index(c, h + 2 * ph, w + 2 * pw, kernel, stride, dilation)
+    cols = rows.reshape(-1, n).take(index, axis=0)  # (C*KH*KW*OH*OW, N)
+    return cols.reshape(groups, c // groups * kh * kw, -1)
 
 
 def _col2im(cols, in_shape, geometry):
-    """Adjoint of :func:`_columns`: scatter-add columns onto ``in_shape``."""
-    kernel, stride, padding, dilation, groups = geometry
+    """Adjoint of :func:`_columns`: add the columns back onto ``in_shape``.
+
+    One strided add of whole rows per kernel offset, which hits no pixel
+    twice.  The offsets go last to first, so every pixel sums its terms
+    in the order of a scatter over the batch-major patches.  The result
+    is batch-minor in memory, like the rows it was added into.
+    """
+    (kh, kw), (sh, sw), (ph, pw), (dh, dw), _groups = geometry
     n, c, h, w = in_shape
-    ph, pw = padding
-    padded = (n, c, h + 2 * ph, w + 2 * pw)
-    indices, oh, ow = im2col_indices(padded, kernel, stride, dilation)
-    patches = cols.reshape(groups, n, oh * ow, -1).transpose((1, 2, 0, 3))
-    out = np.zeros(n * c * padded[2] * padded[3], dtype=cols.dtype)
-    np.add.at(out, indices.reshape(-1), patches.reshape(-1))
-    return out.reshape(padded)[:, :, ph : ph + h, pw : pw + w]
+    hp, wp = h + 2 * ph, w + 2 * pw
+    oh = conv_output_size(hp, kh, sh, 0, dh)
+    ow = conv_output_size(wp, kw, sw, 0, dw)
+    patches = cols.reshape(c, kh * kw, oh, ow, n)
+    rows = np.zeros((c, hp, wp, n), dtype=cols.dtype)
+    for k in reversed(range(kh * kw)):
+        top, left = (k // kw) * dh, (k % kw) * dw
+        rows[:, top : top + oh * sh : sh, left : left + ow * sw : sw] += patches[:, k]
+    return rows[:, ph : ph + h, pw : pw + w].transpose((3, 0, 1, 2))
 
 
-def _out_matrix(grad, groups):
-    """An ``(N, OC, OH, OW)`` gradient as the ``(G, N*OH*OW, OC/G)`` matmul operand."""
-    n, oc, oh, ow = grad.shape
-    return (
-        grad.reshape(n, groups, oc // groups, oh, ow)
-        .transpose((1, 0, 3, 4, 2))
-        .reshape(groups, n * oh * ow, oc // groups)
-    )
+def _out_rows(grad, groups):
+    """An ``(N, OC, OH, OW)`` gradient as the ``(G, OC/G, OH*OW*N)`` matmul operand."""
+    oc = grad.shape[1]
+    return grad.transpose((1, 2, 3, 0)).reshape(groups, oc // groups, -1)
 
 
 class Conv2dOp(Function):
@@ -183,13 +136,8 @@ class Conv2dOp(Function):
         ow = conv_output_size(x.shape[3], kernel[1], stride[1], padding[1], dilation[1])
         self.geometry = geometry
         self.cols = _columns(x, geometry) if cols is None else cols
-        kernel_mat = weight.reshape(groups, oc // groups, -1).transpose((0, 2, 1))
-        out = np.matmul(self.cols, kernel_mat)  # (G, N*OHW, OC/G)
-        out = (
-            out.reshape(groups, n, oh, ow, oc // groups)
-            .transpose((1, 0, 4, 2, 3))
-            .reshape(n, oc, oh, ow)
-        )
+        out = np.matmul(weight.reshape(groups, oc // groups, -1), self.cols)  # (G, OC/G, OHW*N)
+        out = out.reshape(oc, oh, ow, n).transpose((3, 0, 1, 2))  # batch-minor in memory
         if bias is not None:
             out = np.add(out, bias.reshape(1, oc, 1, 1))
         return out
@@ -215,7 +163,8 @@ class Conv2dInputGrad(Function):
         groups = geometry[4]
         self.geometry = geometry
         w_mat = weight.reshape(groups, weight.shape[0] // groups, -1)
-        return _col2im(np.matmul(_out_matrix(grad, groups), w_mat), in_shape, geometry)
+        cols = np.matmul(w_mat.swapaxes(-1, -2), _out_rows(grad, groups))  # (G, K, OHW*N)
+        return _col2im(cols, in_shape, geometry)
 
     def backward(self, grad_out, grad, weight):
         g_t, w_t = self.inputs
@@ -240,8 +189,8 @@ class Conv2dWeightGrad(Function):
         kernel, _stride, _padding, _dilation, groups = geometry
         self.geometry = geometry
         self.cols = cols
-        gw = np.matmul(cols.swapaxes(-1, -2), _out_matrix(grad, groups))  # (G, K, OC/G)
-        return gw.transpose((0, 2, 1)).reshape(grad.shape[1], -1, *kernel)
+        gw = np.matmul(_out_rows(grad, groups), cols.swapaxes(-1, -2))  # (G, OC/G, K)
+        return gw.reshape(grad.shape[1], -1, *kernel)
 
     def backward(self, grad_out, grad, x):
         g_t, x_t = self.inputs

@@ -1,20 +1,23 @@
 """Composite-primitive convolution and BatchNorm: the parity oracle.
 
 ``repro.nn`` runs a conv layer and a BatchNorm layer as one autograd
-node each, with hand-written adjoints.  This module keeps the chains of
-engine primitives they replaced (pad -> im2col gather -> matmul ->
-reshape/transpose -> bias add; mean/var/pow arithmetic), whose
-derivatives of every order come from the primitives' rules.  Tests
-compare the coarse ops against them: forward outputs bitwise, gradients
-of every order within float tolerance.
+node each, with hand-written adjoints.  This module keeps the same
+computations as chains of engine primitives (pad -> batch-minor rows ->
+gather of whole rows -> matmul -> reshape/transpose -> bias add;
+mean/var/pow arithmetic), whose derivatives of every order come from
+the primitives' rules.  Tests compare the coarse ops against them:
+forward outputs bitwise, gradients of every order within float
+tolerance.
 
 The ``Composite*`` layer classes are drop-in subclasses that share their
 parents' parameters, buffers and running-statistic updates, so a model
 built from them is the oracle twin of one built from ``repro.nn``.
 """
 
+import numpy as np
+
 from repro import nn
-from repro.nn.conv import _pair, im2col_indices
+from repro.nn.conv import _pair, _row_index, conv_output_size
 from repro.tensor import Tensor
 
 
@@ -23,27 +26,20 @@ def composite_conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, grou
     stride = _pair(stride)
     padding = _pair(padding)
     dilation = _pair(dilation)
-    n = x.shape[0]
+    n, c = x.shape[:2]
     oc, c_per_group, kh, kw = weight.shape
     if padding != (0, 0):
         ph, pw = padding
         x = x.pad(((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    indices, oh, ow = im2col_indices(x.shape, (kh, kw), stride, dilation)
-    patches = x.take_flat(indices)  # (N, OHW, C, KK)
-    oc_per_group = oc // groups
-    ohw = oh * ow
-    cols = (
-        patches.reshape(n, ohw, groups, c_per_group * kh * kw)
-        .transpose((2, 0, 1, 3))
-        .reshape(groups, n * ohw, c_per_group * kh * kw)
-    )
-    kernel = weight.reshape(groups, oc_per_group, c_per_group * kh * kw).transpose((0, 2, 1))
-    out = cols @ kernel  # (G, N*OHW, OCg)
-    out = (
-        out.reshape(groups, n, oh, ow, oc_per_group)
-        .transpose((1, 0, 4, 2, 3))
-        .reshape(n, oc, oh, ow)
-    )
+    hp, wp = x.shape[2:]
+    oh = conv_output_size(hp, kh, stride[0], 0, dilation[0])
+    ow = conv_output_size(wp, kw, stride[1], 0, dilation[1])
+    rows = x.transpose((1, 2, 3, 0)).reshape(c * hp * wp, n)
+    index = _row_index(c, hp, wp, (kh, kw), stride, dilation)
+    cols = rows.take_flat(index[:, None] * n + np.arange(n))  # (C*KK*OHW, N)
+    cols = cols.reshape(groups, c_per_group * kh * kw, oh * ow * n)
+    out = weight.reshape(groups, oc // groups, c_per_group * kh * kw) @ cols  # (G, OCg, OHW*N)
+    out = out.reshape(oc, oh, ow, n).transpose((3, 0, 1, 2))
     if bias is not None:
         out = out + bias.reshape(1, oc, 1, 1)
     return out

@@ -48,14 +48,14 @@ class TestConfigGradClip:
         config = make_config(
             "ResNet20-fast", "cifar10_like", "hero", profile="smoke", grad_clip=2.5
         )
-        _train, _test, spec = load_experiment_data(config)
+        _train, _test, spec = load_experiment_data(config, None)
         model = build_model(config, spec)
         trainer = build_trainer(config, model)
         assert trainer.grad_clip == 2.5
 
     def test_default_is_none(self):
         config = make_config("ResNet20-fast", "cifar10_like", "sgd", profile="smoke")
-        _train, _test, spec = load_experiment_data(config)
+        _train, _test, spec = load_experiment_data(config, None)
         trainer = build_trainer(config, build_model(config, spec))
         assert trainer.grad_clip is None
 

@@ -114,7 +114,7 @@ class TestFig1:
 
 class TestFig2:
     def test_structure(self, cache_dir):
-        result = ex.run_fig2(profile="smoke", cache_dir=None, max_batches=1)
+        result = ex.run_fig2(profile="smoke", cache_dir=cache_dir, max_batches=1)
         for method in ("hero", "grad_l1", "sgd"):
             series = result["series"][method]
             values = [v for v in series["hessian_norm"] if v is not None]

@@ -209,7 +209,8 @@ class TestDatagenCommand:
 
 
 class TestRunArtifact:
-    def test_table3_smoke(self, tmp_path):
+    def test_table3_smoke(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
         out = io.StringIO()
         json_path = str(tmp_path / "t3.json")
         violations = run_artifact(
@@ -238,7 +239,8 @@ class TestRunArtifact:
                 assert _cache_complete(os.path.join(str(tmp_path), config.cache_key())) is cached
 
     @pytest.mark.slow
-    def test_fig3_smoke(self):
+    def test_fig3_smoke(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
         out = io.StringIO()
         run_artifact("fig3", "smoke", seed=0, out=out)
         assert "flat area" in out.getvalue()

@@ -60,18 +60,18 @@ class TestConfig:
 
 
 class TestDataLoading:
-    def test_label_noise_applied(self):
+    def test_label_noise_applied(self, tmp_run_cache):
         clean = make_config("ResNet20-fast", "cifar10_like", "sgd", profile="smoke")
         noisy = clean.with_overrides(label_noise=0.5)
-        train_c, _t, _s = load_experiment_data(clean)
-        train_n, _t, _s = load_experiment_data(noisy)
+        train_c, _t, _s = load_experiment_data(clean, tmp_run_cache)
+        train_n, _t, _s = load_experiment_data(noisy, tmp_run_cache)
         assert not np.all(train_c.targets == train_n.targets)
         assert np.allclose(train_c.inputs, train_n.inputs)
 
-    def test_data_deterministic_per_config(self):
+    def test_data_deterministic_per_config(self, tmp_run_cache):
         config = make_config("ResNet20-fast", "cifar10_like", "sgd", profile="smoke")
-        t1, _e1, _s1 = load_experiment_data(config)
-        t2, _e2, _s2 = load_experiment_data(config)
+        t1, _e1, _s1 = load_experiment_data(config, tmp_run_cache)
+        t2, _e2, _s2 = load_experiment_data(config, tmp_run_cache)
         assert np.allclose(t1.inputs, t2.inputs)
 
 
@@ -125,7 +125,7 @@ class TestRunner:
             "ResNet20-fast", "cifar10_like", "cure", profile="smoke",
             gamma=0.5, h=0.3, penalty="sq_norm",
         )
-        _train, _test, spec = load_experiment_data(config)
+        _train, _test, spec = load_experiment_data(config, None)
         trainer = build_trainer(config, build_model(config, spec))
         assert (trainer.h, trainer.gamma, trainer.penalty) == (0.3, 0.5, "sq_norm")
 
@@ -143,6 +143,6 @@ class TestRunner:
     def test_evaluate_accuracy_range(self):
         config = make_config("ResNet20-fast", "cifar10_like", "sgd", profile="smoke", epochs=1)
         result = run_training(config, cache_dir=None)
-        _train, test, _spec = load_experiment_data(config)
+        _train, test, _spec = load_experiment_data(config, None)
         acc = evaluate_accuracy(result.model, test)
         assert 0.0 <= acc <= 1.0

@@ -89,8 +89,8 @@ class TestSurface:
             model, nn.CrossEntropyLoss(), batches, d1, d2, radius=0.3, steps=(5, 5)
         )
         assert surface["loss"].shape == (5, 5)
-        center = surface["loss"][2, 2]
-        assert np.isclose(center, surface["center_loss"], rtol=1e-9)
+        # The (0, 0) grid point is the model's own weights, bit for bit.
+        assert surface["loss"][2, 2] == surface["center_loss"]
 
     def test_weights_restored(self, rng):
         model = make_model()
@@ -109,6 +109,7 @@ class TestSurface:
         d1, _d2 = make_plot_directions(params, seed=1)
         line = loss_line(model, nn.CrossEntropyLoss(), make_batches(rng), d1, radius=0.2, steps=5)
         assert line["loss"].shape == (5, 1)
+        assert line["loss"][2, 0] == line["center_loss"]
 
     def test_flat_area_fraction_bounds(self, rng):
         model = make_model()

@@ -63,14 +63,14 @@ class TestConvVariants:
             _pair((1, 2, 3))
 
     def test_index_cache_reused(self, rng):
-        from repro.nn.conv import _INDEX_CACHE, im2col_indices
+        from repro.nn.conv import _row_index
 
-        x_shape = (2, 3, 9, 9)
-        before = len(_INDEX_CACHE)
-        im2col_indices(x_shape, (3, 3), (1, 1), (1, 1))
-        mid = len(_INDEX_CACHE)
-        im2col_indices(x_shape, (3, 3), (1, 1), (1, 1))
-        assert len(_INDEX_CACHE) == mid
+        geometry = (3, 11, 11, (3, 3), (1, 1), (1, 1))
+        before = _row_index.cache_info().currsize
+        first = _row_index(*geometry)
+        mid = _row_index.cache_info().currsize
+        assert _row_index(*geometry) is first
+        assert _row_index.cache_info().currsize == mid
         assert mid >= before
 
 
