@@ -278,7 +278,8 @@ def history_server(base, finished):
         journal.journal.update(key, lambda _current, record=record: record)
         store.retire([request_id])
     # In-flight work: one batch leased by a busy worker, three requests
-    # admitted and waiting for a deadline that never comes.
+    # admitted and waiting for a deadline that never comes.  The leased
+    # batch keeps them held, so every timed poll also lists the open index.
     batcher = MicroBatcher(root, journal, max_delay=3600.0)
     for index in range(2):
         store.submit(x, f"live-{index}")
@@ -336,7 +337,8 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=2, help="server worker threads")
     parser.add_argument("--max-batch", type=int, default=8, help="micro-batch ceiling")
     parser.add_argument(
-        "--max-delay-ms", type=float, default=5.0, help="batcher latency budget"
+        "--max-delay-ms", type=float, default=5.0,
+        help="longest a request waits while a batch is open",
     )
     parser.add_argument("--seed", type=int, default=0, help="load + weights seed")
     parser.add_argument(

@@ -319,8 +319,8 @@ def build_parser():
         "--max-delay-ms",
         type=_non_negative_float,
         default=10.0,
-        help="serve-model: latency budget before a partial batch flushes "
-        "(default: 10ms)",
+        help="serve-model: longest a request waits while a batch is open; "
+        "an idle server ships at once (default: 10ms)",
     )
     datagen_group = parser.add_argument_group("dataset generation (datagen verb)")
     datagen_group.add_argument(

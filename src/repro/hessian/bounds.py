@@ -127,7 +127,9 @@ def empirical_loss_increase(model, loss_fn, x, y, radius, norm="l2", samples=8, 
                 offsets = [scale * d for d in direction]
             else:
                 offsets = [radius * np.sign(rng.standard_normal(p.shape)) for p in params]
-            with at_weights(params, [p.data + o for p, o in zip(params, offsets)]):
+            # In each parameter's dtype, so radius 0 is the model itself.
+            shifted = [(p.data + o).astype(p.data.dtype, copy=False) for p, o in zip(params, offsets)]
+            with at_weights(params, shifted):
                 worst = max(worst, batch_loss() - base)
     finally:
         restore_buffers(model, buffers)

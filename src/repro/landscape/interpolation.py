@@ -47,7 +47,12 @@ def interpolation_path(
     losses = np.empty(steps)
     try:
         for index, t in enumerate(ts):
-            point = [(1.0 - t) * np.asarray(state_a[name]) + t * np.asarray(state_b[name]) for name in params]
+            # In each parameter's dtype, so t = 0 and t = 1 are the endpoints themselves.
+            point = [
+                ((1.0 - t) * np.asarray(state_a[name]) + t * np.asarray(state_b[name]))
+                .astype(p.data.dtype, copy=False)
+                for name, p in params.items()
+            ]
             with at_weights(params.values(), point):
                 losses[index] = _loss_on_batches(model, loss_fn, batches)
     finally:

@@ -19,9 +19,12 @@ filesystem) rendezvous in one server directory:
 
 **Admission and batching.** Clients drop request files; the single
 batcher polls the directory, admits new requests, and flushes a batch
-when it holds ``max_batch`` requests *or* the oldest admitted request
-has waited ``max_delay`` — whichever comes first.  A flushed batch is
-one journal record naming its request ids.
+when it holds ``max_batch`` requests, when the oldest admitted request
+has waited ``max_delay``, *or* when no batch is open (pending or
+leased) — whichever comes first.  The last rule keeps an idle server
+from holding a request for companions while its workers sit idle; a
+request waits for the deadline only while a batch is open.  A flushed
+batch is one journal record naming its request ids.
 
 **Dispatch and fault model.** Workers claim batches through
 :class:`repro.io.LeaseJournal`, as sweep workers claim tasks: a
@@ -35,15 +38,16 @@ still holding it, gets error markers instead of hanging its clients.
 **Determinism contract.** A worker runs one forward *per request*
 inside its claimed batch (BLAS kernels are not bit-stable across batch
 shapes — concatenating requests would make a response depend on which
-requests happened to share its batch).  The micro-batch amortizes the
-per-batch costs: journal claim/resolve transactions, lease renewals,
-heartbeats and scheduling wakeups.  Served outputs are bit-identical
-to an offline forward of the published artifact.
+requests happened to share its batch).  Under load, the micro-batch
+amortizes the per-batch costs: journal claim/resolve transactions,
+lease renewals, heartbeats and scheduling wakeups.  Served outputs are
+bit-identical to an offline forward of the published artifact.
 
 **Cost as history grows.** Every per-poll path touches only in-flight
-work: a claim lists ``batches/open/``, the batcher lists ``requests/``
-(answered inputs move to ``served/``), and a stats pass reads only the
-batches emitted since the last pass plus those still open.  Finished
+work: a claim lists ``batches/open/``; the batcher lists ``requests/``
+(answered inputs move to ``served/``), plus ``batches/open/`` while it
+holds requests; and a stats pass reads only the batches emitted since
+the last pass plus those still open.  Finished
 records stay on disk for the observers (``BatchJournal.snapshot`` and
 ``counts``); the whole journal is read only at start-up, by the
 batcher's replay and the first stats pass.
@@ -336,7 +340,12 @@ class MicroBatcher:
     * **size**: ``max_batch`` requests are pending;
     * **deadline**: the oldest pending request was admitted
       ``max_delay`` seconds ago (its latency budget is spent waiting
-      for companions; ship it with whatever arrived).
+      for companions; ship it with whatever arrived);
+    * **idle**: no batch is pending or leased
+      (:meth:`BatchJournal.drained`, which lists the open index only):
+      no worker is busy, so waiting would only add latency.  While a
+      batch is open, requests keep gathering until the size or
+      deadline rule fires, and the per-batch costs stay amortized.
 
     Restart safety: already-batched request ids are replayed from the
     journal on construction, so a restarted batcher never double-admits,
@@ -398,7 +407,9 @@ class MicroBatcher:
         keys = []
         while len(self.pending) >= self.max_batch:
             keys.append(self._emit(now))
-        if self.pending and (force or self._oldest_age(now) >= self.max_delay):
+        if self.pending and (
+            force or self._oldest_age(now) >= self.max_delay or self.journal.drained()
+        ):
             keys.append(self._emit(now))
         return keys
 

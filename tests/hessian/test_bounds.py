@@ -11,7 +11,8 @@ from repro.hessian import (
     gradl1_limit_linf,
     theorem3_bounds,
 )
-from repro.models import MLP
+from repro.models import MLP, create_model
+from repro.tensor import dtype_context
 
 
 class TestBoundFormulas:
@@ -102,3 +103,17 @@ class TestOnModel:
         model, loss_fn, x, y = self._setup()
         with pytest.raises(ValueError):
             empirical_loss_increase(model, loss_fn, x, y, 0.1, norm="l7")
+
+
+def test_radius_zero_is_no_increase_on_a_float32_model():
+    """Every shifted point is evaluated in its parameter's dtype, so the
+    zero offset is the model itself and the increase is exactly 0."""
+    with dtype_context("float32"):
+        model = create_model("resnet8", num_classes=10, scale=0.5, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 3, 8, 8))
+        y = rng.integers(0, 10, size=8)
+        for norm in ("l2", "linf"):
+            assert empirical_loss_increase(
+                model, nn.CrossEntropyLoss(), x, y, 0.0, norm=norm, samples=2
+            ) == 0.0

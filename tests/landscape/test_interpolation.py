@@ -7,7 +7,8 @@ from repro import nn, optim
 from repro.core import make_trainer
 from repro.data import DataLoader, gaussian_blobs
 from repro.landscape import barrier_height, interpolation_path
-from repro.models import MLP
+from repro.models import MLP, create_model
+from repro.tensor import Tensor, dtype_context, no_grad
 
 
 def train_model(seed, ds, epochs=10):
@@ -73,6 +74,29 @@ class TestInterpolationPath:
         bad.pop(next(iter(bad)))
         with pytest.raises(ValueError):
             interpolation_path(m1, m1.state_dict(), bad, nn.CrossEntropyLoss(), batches)
+
+    def test_endpoints_are_the_models_themselves_in_float32(self):
+        """Each point is evaluated in its parameter's dtype, so t = 0 and
+        t = 1 reproduce the two models' own eval losses exactly."""
+        with dtype_context("float32"):
+            model_a = create_model("resnet8", num_classes=10, scale=0.5, seed=0)
+            model_b = create_model("resnet8", num_classes=10, scale=0.5, seed=1)
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal((8, 3, 8, 8))
+            y = rng.integers(0, 10, size=8)
+            loss_fn = nn.CrossEntropyLoss()
+
+            def own_loss(model):
+                model.eval()
+                with no_grad():
+                    return float(loss_fn(model(Tensor(x)), y).data)
+
+            path = interpolation_path(
+                model_a, model_a.state_dict(), model_b.state_dict(), loss_fn, [(x, y)],
+                steps=3, start=0.0, stop=1.0,
+            )
+            assert path["loss"][0] == own_loss(model_a)
+            assert path["loss"][-1] == own_loss(model_b)
 
     def test_barrier_requires_unit_interval(self):
         with pytest.raises(ValueError):

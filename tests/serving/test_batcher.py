@@ -1,9 +1,10 @@
-"""Micro-batcher properties: exactly-once, size ceiling, deadline.
+"""Micro-batcher properties: exactly-once, size ceiling, deadline, idle flush.
 
 Hypothesis drives randomized arrival schedules through the real
 ``RequestStore`` + ``BatchJournal`` + ``MicroBatcher`` stack under a
-manually advanced clock, and checks the three contracts the serving
-layer sells:
+manually advanced clock, with a fake worker claiming and resolving
+batches between polls, and checks the four contracts the serving layer
+sells:
 
 * **exactly-once**: every submitted request lands in exactly one batch
   record — never dropped, never duplicated (including across a batcher
@@ -11,7 +12,11 @@ layer sells:
 * **size**: no batch exceeds ``max_batch``;
 * **deadline**: after any non-forced flush, no still-pending request
   has waited longer than ``max_delay`` — the oldest request's latency
-  budget triggers a partial batch rather than unbounded waiting.
+  budget triggers a partial batch rather than unbounded waiting;
+* **work conservation**: no request is still pending after a poll that
+  found the journal drained — an idle server ships at once, and only
+  an open (pending or leased) batch makes a request wait for
+  companions.
 
 The last test closes the loop to the model: draining the emitted
 batches through ``worker_loop`` serves outputs bit-identical to an
@@ -23,11 +28,12 @@ import shutil
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import BatchJournal, MicroBatcher, RequestStore
-from repro.serving.server import DONE, PENDING
+from repro.serving.server import DONE, LEASED, PENDING
 
 
 class FakeClock:
@@ -39,12 +45,36 @@ class FakeClock:
 
 
 #: A randomized arrival schedule: positive inter-arrival gaps (seconds).
-gaps = st.lists(
-    st.floats(min_value=0.0, max_value=0.03, allow_nan=False), min_size=1, max_size=24
+gap = st.floats(min_value=0.0, max_value=0.03, allow_nan=False)
+gaps = st.lists(gap, min_size=1, max_size=24)
+
+#: A schedule with a worker: per arrival, its gap and how many batches
+#: the fake worker claims, then resolves, just before the batcher polls.
+steps = st.lists(
+    st.tuples(gap, st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=24
 )
 
 
-def run_schedule(root, gap_list, max_batch, max_delay, restart_after=None):
+class FakeWorker:
+    """Claims batches and resolves them later, oldest lease first."""
+
+    def __init__(self, store, journal):
+        self.store = store
+        self.journal = journal
+        self.held = []
+
+    def act(self, claims, resolves):
+        for _ in range(claims):
+            record = self.journal.claim("fake")
+            if record is not None:
+                self.held.append(record)
+        for record in self.held[:resolves]:
+            self.store.retire(record["requests"])
+            self.journal.resolve(record["key"], "fake")
+        del self.held[:resolves]
+
+
+def run_schedule(root, step_list, max_batch, max_delay, restart_after=None):
     """Feed the schedule through a batcher; return (journal, submitted ids).
 
     ``restart_after`` rebuilds the batcher from the journal midway —
@@ -54,13 +84,17 @@ def run_schedule(root, gap_list, max_batch, max_delay, restart_after=None):
     store = RequestStore(root, clock=clock)
     journal = BatchJournal(root, clock=clock)
     batcher = MicroBatcher(root, journal, max_batch=max_batch, max_delay=max_delay, clock=clock)
+    worker = FakeWorker(store, journal)
     submitted = []
-    for index, gap in enumerate(gap_list):
+    for index, (gap, claims, resolves) in enumerate(step_list):
         clock.now += gap
+        worker.act(claims, resolves)
         submitted.append(store.submit(np.zeros(2, dtype=np.float32), f"req-{index:04d}"))
         batcher.poll()
         # Deadline contract: nothing still pending is past its budget.
         assert all(clock.now - at < max_delay for at in batcher.pending.values())
+        # Work conservation: a request is held only while a batch is open.
+        assert not batcher.pending or not journal.drained()
         if restart_after is not None and index == restart_after:
             batcher = MicroBatcher(
                 root, journal, max_batch=max_batch, max_delay=max_delay, clock=clock
@@ -78,15 +112,15 @@ def run_schedule(root, gap_list, max_batch, max_delay, restart_after=None):
     return journal, submitted
 
 
-@given(gap_list=gaps, max_batch=st.integers(1, 6), max_delay=st.floats(0.005, 0.05))
+@given(step_list=steps, max_batch=st.integers(1, 6), max_delay=st.floats(0.005, 0.05))
 @settings(max_examples=40, deadline=None)
-def test_exactly_once_and_size_ceiling(gap_list, max_batch, max_delay):
+def test_exactly_once_and_size_ceiling(step_list, max_batch, max_delay):
     root = tempfile.mkdtemp(prefix="batcher-prop-")
     try:
-        journal, submitted = run_schedule(root, gap_list, max_batch, max_delay)
+        journal, submitted = run_schedule(root, step_list, max_batch, max_delay)
         batched = collections.Counter()
         for record in journal.snapshot().values():
-            assert record.status == PENDING
+            assert record.status in (PENDING, LEASED, DONE)
             assert 1 <= len(record.requests) <= max_batch
             batched.update(record.requests)
         assert set(batched) == set(submitted)
@@ -96,16 +130,16 @@ def test_exactly_once_and_size_ceiling(gap_list, max_batch, max_delay):
 
 
 @given(
-    gap_list=gaps,
+    step_list=steps,
     max_batch=st.integers(1, 6),
     restart_at=st.integers(0, 23),
 )
 @settings(max_examples=40, deadline=None)
-def test_restart_replays_journal_without_double_admitting(gap_list, max_batch, restart_at):
+def test_restart_replays_journal_without_double_admitting(step_list, max_batch, restart_at):
     root = tempfile.mkdtemp(prefix="batcher-restart-")
     try:
         journal, submitted = run_schedule(
-            root, gap_list, max_batch, 0.02, restart_after=min(restart_at, len(gap_list) - 1)
+            root, step_list, max_batch, 0.02, restart_after=min(restart_at, len(step_list) - 1)
         )
         batched = collections.Counter()
         keys = []
@@ -121,19 +155,58 @@ def test_restart_replays_journal_without_double_admitting(gap_list, max_batch, r
         shutil.rmtree(root, ignore_errors=True)
 
 
-def test_deadline_ships_a_partial_batch(tmp_path):
-    """One lonely request is served after max_delay, not never."""
+def batcher_with_open_batch(root, state):
+    """``(clock, store, journal, batcher, key)`` with one batch ``state`` (pending or leased)."""
+    clock = FakeClock()
+    store = RequestStore(root, clock=clock)
+    journal = BatchJournal(root, clock=clock)
+    batcher = MicroBatcher(root, journal, max_batch=8, max_delay=0.01, clock=clock)
+    store.submit(np.zeros(2, dtype=np.float32), "first")
+    (key,) = batcher.poll()
+    if state == LEASED:
+        assert journal.claim("busy")["key"] == key
+    assert journal.journal.read(key)["status"] == state
+    return clock, store, journal, batcher, key
+
+
+def test_idle_server_ships_a_lone_request_at_once(tmp_path):
+    """With no batch open, nobody is busy: waiting for companions only adds latency."""
     clock = FakeClock()
     root = str(tmp_path)
     store = RequestStore(root, clock=clock)
     journal = BatchJournal(root, clock=clock)
     batcher = MicroBatcher(root, journal, max_batch=8, max_delay=0.01, clock=clock)
     store.submit(np.zeros(2, dtype=np.float32), "lonely")
-    assert batcher.poll() == []  # admitted, but within budget — held
-    clock.now += 0.0099
-    assert batcher.flush() == []  # still within budget
-    clock.now += 0.0002
-    (key,) = batcher.flush()  # budget spent: ship it alone
+    (key,) = batcher.poll()  # the first poll, no time elapsed
+    assert journal.journal.read(key)["requests"] == ["lonely"]
+    assert not batcher.pending
+
+
+def test_deadline_ships_a_partial_batch(tmp_path):
+    """With a batch open, one lonely request is served after max_delay, not never."""
+    for state in (PENDING, LEASED):
+        clock, store, journal, batcher, _key = batcher_with_open_batch(str(tmp_path / state), state)
+        store.submit(np.zeros(2, dtype=np.float32), "lonely")
+        assert batcher.poll() == []  # admitted, but within budget — held
+        clock.now += 0.0099
+        assert batcher.flush() == []  # still within budget
+        clock.now += 0.0002
+        (key,) = batcher.flush()  # budget spent: ship it alone
+        assert journal.journal.read(key)["requests"] == ["lonely"]
+
+
+@pytest.mark.parametrize("state", [PENDING, LEASED])
+def test_lone_request_ships_at_the_first_poll_after_the_open_batch_resolves(tmp_path, state):
+    clock, store, journal, batcher, open_key = batcher_with_open_batch(str(tmp_path), state)
+    store.submit(np.zeros(2, dtype=np.float32), "lonely")
+    assert batcher.poll() == []
+    clock.now += 0.002
+    if state == PENDING:
+        assert batcher.poll() == []  # still pending
+        assert journal.claim("busy")["key"] == open_key
+        assert batcher.poll() == []  # now leased
+    assert journal.resolve(open_key, "busy")["status"] == DONE
+    (key,) = batcher.poll()  # well within the budget
     assert journal.journal.read(key)["requests"] == ["lonely"]
 
 
